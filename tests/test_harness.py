@@ -5,6 +5,7 @@ byte-identical regardless of worker count, and summaries must be honest
 recounts of the records they summarize.
 """
 
+import hashlib
 import os
 import re
 from fractions import Fraction
@@ -146,6 +147,21 @@ def test_search_worker_count_does_not_change_bytes(monkeypatch):
     monkeypatch.setenv("KMATCH_THREADS", "2")
     parallel = report_to_json(discrepancy_search(3, 2))
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "n_max, k_max, digest",
+    [
+        (4, 2, "57ccbcd0f8451de91bdcd64e461f53856ac6476a909a96f67d86b628fcb84177"),
+        (5, 3, "c3ca25f7cd19b1fe643586ba458a7229638f2eb1804ff83c273f3da5bd9b48da"),
+    ],
+)
+def test_search_report_golden_digest(monkeypatch, n_max, k_max, digest):
+    # refactors of the formula or the search must leave the report bytes as
+    # they are
+    monkeypatch.setenv("KMATCH_THREADS", "1")
+    text = report_to_json(discrepancy_search(n_max, k_max))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 def test_search_soundness_spot_check():
