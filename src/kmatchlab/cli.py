@@ -73,8 +73,26 @@ def _load_graph(spec: str) -> Graph:
     return parse_graph6(lines[0])
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and return only once every byte is taken.
+
+    An unbuffered stdout (PYTHONUNBUFFERED) writes straight to the raw file,
+    which may take part of a large write and drop the rest silently; writing
+    the remainder again makes a closed pipe raise BrokenPipeError instead.
+    """
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, e.g. io.StringIO
+        sys.stdout.write(text)
+        return
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data) :]
+    out.flush()
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    _write_stdout(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _cmd_count(args) -> int:
@@ -141,7 +159,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         write_report(report, args.format, args.out)
     else:
-        sys.stdout.write(_FORMATTERS[args.format](report))
+        _write_stdout(_FORMATTERS[args.format](report))
     return 0
 
 
@@ -150,7 +168,7 @@ def _cmd_search(args) -> int:
     if args.out:
         write_report(report, "json", args.out)
     else:
-        sys.stdout.write(report_to_json(report))
+        _write_stdout(report_to_json(report))
     return 0
 
 

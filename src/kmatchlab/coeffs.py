@@ -1,6 +1,6 @@
 """Integer coefficient tables used by the fast counting formula.
 
-Two families are produced here:
+Three tables are produced here:
 
 * ``g'`` - a triangular table g'_k(l) for 1 <= l <= k, defined by a
   first-order recursion in k.  The k=2 base row is contested, so both
@@ -11,9 +11,16 @@ Two families are produced here:
 
 * ``f`` - an integer weight per set partition, defined by deleting the
   largest element: a singleton block {m} is dropped at no cost, while
-  removing m from a larger block B multiplies by -(|B|-1).
+  removing m from a larger block B multiplies by -(|B|-1).  The set-level
+  table (one entry per partition of {1..m}, B_m of them) serves the literal
+  referees and ``kmatch coeffs --what f``.
 
-Both recursions are evaluated verbatim; closed forms are only used as
+* ``F`` - the f table aggregated to block-size types: F(lam) is the sum of
+  f over the set partitions of {1..m} whose block sizes form lam.  It comes
+  from the same deletion rule lifted to types, so level m holds only the
+  p(m) integer partitions of m; this is the table the fast formula uses.
+
+All recursions are evaluated verbatim; closed forms are only used as
 cross-checks in the test suite, never as the source of values.
 """
 
@@ -26,7 +33,7 @@ from typing import Mapping
 from .errors import CapacityError
 from .partitions import SetPartition, enumerate_partitions
 
-MAX_F_M = 12  # partition enumeration bound
+MAX_F_M = 12  # partition enumeration bound of the set-level f table
 
 GMODES = ("paper", "corrected")
 
@@ -116,3 +123,39 @@ def compute_f(m_max: int) -> FTable:
         merged.update(_F_LEVELS[m])
     _F_TABLES[m_max] = FTable(m_max, MappingProxyType(merged))
     return _F_TABLES[m_max]
+
+
+# level m maps each block-size type of {1..m} (parts in non-increasing
+# order) to F(type); like _F_LEVELS, level m depends only on level m-1
+_F_TYPE_LEVELS: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
+
+
+def compute_f_types(m: int) -> Mapping[tuple[int, ...], int]:
+    """F(lam) for every integer partition lam of m, read-only.
+
+    Deleting m from a partition of type lam leaves type lam - {1} when m
+    was a singleton, or type mu (one part c+1 of lam lowered to c) at a cost
+    of -c; mu has mult_mu(c) blocks of size c that m could have joined.  So
+
+        F(lam) = [1 in lam] F(lam - {1}) + sum_c (-c) mult_mu(c) F(mu),
+
+    evaluated here by pushing each F(mu) of level m-1 to the types it
+    reaches.  The cost is polynomial in p(m); callers bound m.
+    """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    for level in range(max(_F_TYPE_LEVELS) + 1, m + 1):
+        nxt: dict[tuple[int, ...], int] = {}
+        for mu, fv in _F_TYPE_LEVELS[level - 1].items():
+            # m as a singleton: 1 is the smallest part, so it goes last
+            lam = mu + (1,)
+            nxt[lam] = nxt.get(lam, 0) + fv
+            for i, c in enumerate(mu):
+                if i and mu[i - 1] == c:
+                    continue
+                # m joins one of the mult_mu(c) blocks of size c; raising the
+                # first c keeps the parts non-increasing
+                lam = mu[:i] + (c + 1,) + mu[i + 1 :]
+                nxt[lam] = nxt.get(lam, 0) - c * mu.count(c) * fv
+        _F_TYPE_LEVELS[level] = nxt
+    return MappingProxyType(_F_TYPE_LEVELS[m])

@@ -5,7 +5,11 @@ fast_count evaluates, in exact rational arithmetic,
     1/(k!(n-k)!2^k) * sum_{l=1..k} (n-l)! g'_k(l) * B(ground set)
 
 where B sums f(pi) * prod over blocks of power_sum(degrees, |block|) over
-set partitions of the ground set.  Which ground set is the contested part:
+set partitions of the ground set.  The product depends on pi only through
+its block sizes, so B is evaluated as a sum over block-size types lam of
+F(lam) * prod_i power_sum(degrees, lam_i), with F the type-aggregated f
+table: p(m) terms for a ground set of size m instead of B_m.  Which ground
+set is the contested part:
 
 * index_convention="corrected" partitions {1..l}, so B varies with l (the
   dimensionally consistent reading of the substitution step);
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .coeffs import GMODES, compute_f, compute_gprime
+from .coeffs import GMODES, compute_f, compute_f_types, compute_gprime
 from .errors import CapacityError
 from .exact import factorial
 from .graph import Graph, degree_vector
@@ -37,7 +41,7 @@ from .partitions import SetPartition, enumerate_partitions
 
 INDEX_CONVENTIONS = ("paper", "corrected")
 
-MAX_FAST_K = 12  # Bell-number guard
+MAX_FAST_K = 30  # p(30) = 5,604 block-size types in the largest F level
 MAX_LEMMA7_N = 5
 
 
@@ -81,38 +85,36 @@ def partition_product(d: Sequence[int], pi: SetPartition) -> int:
     return prod(power_sum(d, len(b)) for b in pi.blocks)
 
 
+def _bracket(sums: Mapping[int, int], m: int) -> int:
+    """B for a ground set of size m, from power sums sums[e] for e <= m."""
+    return sum(fv * prod(sums[part] for part in lam) for lam, fv in compute_f_types(m).items())
+
+
 def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> CountResult:
     """Evaluate the claimed formula exactly under the chosen conventions.
 
-    Power sums are precomputed once per exponent, so the cost is one degree
-    pass plus one product per set partition of the ground set(s).  When
-    k > n the claimed count is 0 by convention (no k-matching can exist and
-    the (n-k)! prefactor is undefined).
+    Power sums are precomputed once per exponent, so the cost is one pass
+    over the graph's degrees per exponent plus one product per block-size
+    type of the ground set(s).  When k > n the claimed count is 0 by
+    convention (no k-matching can exist and the (n-k)! prefactor is
+    undefined).
     """
     if options is None:
         options = FastCountOptions()
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > MAX_FAST_K:
-        raise CapacityError(f"partition table refused: k={k} > {MAX_FAST_K}")
+        raise CapacityError(f"f type table refused: k={k} > {MAX_FAST_K}")
     n = g.n
     if k > n:
         return CountResult(Fraction(0), True, n, k, options)
     d = degree_vector(g)
     sums = {e: power_sum(d, e) for e in range(1, k + 1)}
     gp = compute_gprime(k, options.gmode)
-    ftab = compute_f(k)
-    by_m: dict[int, list[tuple[int, tuple[int, ...]]]] = {m: [] for m in range(1, k + 1)}
-    for pi, fv in ftab.values.items():
-        by_m[pi.m].append((fv, tuple(len(b) for b in pi.blocks)))
-
-    def bracket(m: int) -> int:
-        return sum(fv * prod(sums[sz] for sz in sizes) for fv, sizes in by_m[m])
-
     if options.index_convention == "paper":
-        total = bracket(k) * sum(factorial(n - l) * gp[l] for l in range(1, k + 1))
+        total = _bracket(sums, k) * sum(factorial(n - l) * gp[l] for l in range(1, k + 1))
     else:
-        total = sum(factorial(n - l) * gp[l] * bracket(l) for l in range(1, k + 1))
+        total = sum(factorial(n - l) * gp[l] * _bracket(sums, l) for l in range(1, k + 1))
     value = Fraction(total, factorial(k) * factorial(n - k) * 2**k)
     return CountResult(value, value.denominator == 1, n, k, options)
 

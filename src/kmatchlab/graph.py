@@ -13,6 +13,7 @@ Supported external formats:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 import random
@@ -28,6 +29,11 @@ class Graph:
 
     n: int
     adj: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Row sums of the adjacency matrix, summed once per graph."""
+        return tuple(sum(row) for row in self.adj)
 
     def edge_count(self) -> int:
         return sum(self.adj[i][j] for i in range(self.n) for j in range(i + 1, self.n))
@@ -97,7 +103,7 @@ def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
 
 def degree_vector(g: Graph) -> tuple[int, ...]:
     """Column sums of the adjacency matrix (= row sums by symmetry)."""
-    return tuple(sum(row) for row in g.adj)
+    return g.degrees
 
 
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:

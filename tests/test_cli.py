@@ -163,9 +163,7 @@ def test_broken_pipe_exits_1():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    # With unbuffered stdout a short write into the closed pipe is dropped
-    # silently and the child exits 0 without reaching the BrokenPipeError
-    # handler; keep stdout buffered, as it is by default.
+    # Buffered stdout, as it is by default.
     env.pop("PYTHONUNBUFFERED", None)
     script = (
         f"{shlex.quote(sys.executable)} -m kmatchlab.cli verify --claim LEMMA4"
@@ -177,4 +175,14 @@ def test_broken_pipe_exits_1():
         env=env,
     )
     assert proc.stdout.strip() in {"0", "1"}
+    assert "Traceback" not in proc.stderr
+
+    # Unbuffered stdout: a raw write may take only part of the report. The
+    # report (about 360 KB) cannot fit in the pipe once `head` has gone, so
+    # writing the rest must reach the BrokenPipeError handler.
+    proc = subprocess.run(
+        ["bash", "-c", script], capture_output=True, text=True, timeout=120,
+        env={**env, "PYTHONUNBUFFERED": "1"},
+    )
+    assert proc.stdout.strip() == "1"
     assert "Traceback" not in proc.stderr

@@ -5,15 +5,18 @@ falling-factorial polynomial by direct convolution.  The f values are
 produced by a deletion recursion; the reference here solves for them from
 scratch as the unique solution of the injective-sum identity on random
 matrices (exact Gaussian elimination), plus a product-form cross-check.
+The type-aggregated F table is checked against sums of the set-level f
+values and against its closed form.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from kmatchlab.coeffs import FTable, compute_f, compute_gprime
+from kmatchlab.coeffs import FTable, compute_f, compute_f_types, compute_gprime
 from kmatchlab.errors import CapacityError
 from kmatchlab.exact import factorial, falling_factorial
 from kmatchlab.oracle import injection_sum
@@ -170,3 +173,47 @@ def test_f_table_scope_and_errors():
         compute_f(0)
     with pytest.raises(CapacityError):
         compute_f(13)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_f_types_sum_set_level_f(m):
+    table = compute_f(m)
+    want: Counter = Counter()
+    for pi in enumerate_partitions(m):
+        want[tuple(sorted((len(b) for b in pi.blocks), reverse=True))] += table[pi]
+    assert dict(compute_f_types(m)) == dict(want)
+
+
+def _integer_partitions(m, largest):
+    """Partitions of m into parts <= largest, parts non-increasing."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest), 0, -1):
+        for rest in _integer_partitions(m - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_f_types_closed_form(m):
+    # F(lam) = m! prod_i (-1)^(lam_i - 1) / lam_i / prod_c mult_c!
+    types = compute_f_types(m)
+    want = {}
+    for lam in _integer_partitions(m, m):
+        value = Fraction(factorial(m))
+        for part in lam:
+            value *= Fraction((-1) ** (part - 1), part)
+        for mult in Counter(lam).values():
+            value /= factorial(mult)
+        want[lam] = value
+    assert types == want
+
+
+def test_f_types_scope_and_errors():
+    assert dict(compute_f_types(1)) == {(1,): 1}
+    assert dict(compute_f_types(2)) == {(1, 1): 1, (2,): -1}
+    assert len(compute_f_types(30)) == 5604
+    with pytest.raises(TypeError):
+        compute_f_types(2)[(2,)] = 0
+    with pytest.raises(ValueError):
+        compute_f_types(0)

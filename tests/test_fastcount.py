@@ -6,7 +6,9 @@ their disagreement with the matching oracle on specific graphs is itself a
 frozen expectation, not a bug.
 """
 
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import (
     CountResult,
     FastCountOptions,
+    _bracket,
     fast_count,
     lemma7_eval,
     partition_product,
@@ -112,6 +115,25 @@ def test_partition_product_examples(c4, p3):
     assert partition_product(dp3, two_singles) == 16
 
 
+def _elementary_symmetric(d, m):
+    e = [1] + [0] * m
+    for x in d:
+        for j in range(m, 0, -1):
+            e[j] += x * e[j - 1]
+    return e[m]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bracket_is_scaled_elementary_symmetric(seed):
+    # Lemma 6 with equal rows: the f-weighted power-sum products over the
+    # partitions of {1..m} add up to m! e_m(d)
+    rng = random.Random(f"bracket:{seed}")
+    d = [rng.randint(0, 12) for _ in range(rng.randint(3, 15))]
+    sums = {e: power_sum(d, e) for e in range(1, 13)}
+    for m in range(1, 13):
+        assert _bracket(sums, m) == factorial(m) * _elementary_symmetric(d, m)
+
+
 def test_fast_count_matches_nested_loops():
     for n in range(1, 4):
         for g in enumerate_all_graphs(n):
@@ -145,8 +167,10 @@ def test_options_validation():
 def test_guards(p3):
     with pytest.raises(ValueError):
         fast_count(p3, 0)
+    k32 = generate("complete", 32)
     with pytest.raises(CapacityError):
-        fast_count(generate("complete", 20), 13)
+        fast_count(k32, 31)
+    assert isinstance(fast_count(k32, 30).value, Fraction)
     with pytest.raises(ValueError):
         lemma7_eval(p3, 0)
     with pytest.raises(CapacityError):

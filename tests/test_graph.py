@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +68,15 @@ def test_degree_vector():
     assert degree_vector(generate("cycle", 4)) == (2, 2, 2, 2)
     g = generate("random", 9, p=0.5, seed=3)
     assert sum(degree_vector(g)) == 2 * g.edge_count()
+
+
+def test_degrees_are_summed_once_per_graph():
+    g = generate("random", 9, p=0.5, seed=3)
+    assert degree_vector(g) is degree_vector(g) is g.degrees
+    # the cached degrees take no part in equality or hashing
+    fresh = generate("random", 9, p=0.5, seed=3)
+    assert fresh == g and hash(fresh) == hash(g)
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_enumerate_all_graphs_counts():
