@@ -164,6 +164,27 @@ def test_search_report_golden_digest(monkeypatch, n_max, k_max, digest):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
+@pytest.fixture(scope="module")
+def verify_all_report():
+    records = [r for claim in ClaimId for r in verify_claim(claim)]
+    return build_report(records, OPTIONS_MATRIX)
+
+
+@pytest.mark.parametrize(
+    "formatter, digest",
+    [
+        (report_to_json, "6ea7c29519a55d452537f89a610b2eac6d63e4318759a5cb7c14e9424184049e"),
+        (report_to_csv, "c368e9db86e0bfaa51964c7660d9e3f683e93c068f39a9162a0634337a28d22c"),
+        (report_to_text, "a0181979524bf70689ec32e20803f105fe5dfbbd30916ecd663d8c96f5bcc906"),
+    ],
+)
+def test_verify_all_report_golden_digest(verify_all_report, formatter, digest):
+    # the bytes of `kmatch verify --claim all --format {json,csv,text}`;
+    # refactors of the claim layer must leave them as they are
+    text = formatter(verify_all_report)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
 def test_search_soundness_spot_check():
     rep = discrepancy_search(4, 2)
     pat = re.compile(r"n=(\d+)/g=(.+)/k=(\d+)/gmode=(\w+)/index=(\w+)$")
