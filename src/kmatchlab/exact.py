@@ -8,17 +8,7 @@ formula path; a non-integral result is evidence, not rounding noise.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-ExactRat = Fraction
-
-
-def factorial(m: int) -> int:
-    """m! for m >= 0."""
-    if m < 0:
-        raise ValueError(f"factorial of negative number {m}")
-    return math.factorial(m)
 
 
 def falling_factorial(s: int, k: int) -> int:

@@ -30,12 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .coeffs import GMODES, compute_f, compute_f_types, compute_gprime
 from .errors import CapacityError
-from .exact import factorial
 from .graph import Graph, degree_vector
 from .partitions import SetPartition, enumerate_partitions
 

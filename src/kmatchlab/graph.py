@@ -2,7 +2,7 @@
 
 Vertices are labeled 1..n in all external interfaces (edge lists, text
 formats, error messages); the adjacency matrix itself is stored 0-indexed.
-Graphs are immutable after construction and safe to share between workers.
+Graphs are immutable after construction.
 
 Supported external formats:
 
@@ -116,10 +116,8 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_ENUM_N:
         raise CapacityError(f"refusing to enumerate 2^{n * (n - 1) // 2} graphs (n={n} > {MAX_ENUM_N})")
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edge_set = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
-        yield _build(n, edge_set)
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield graph_from_mask(n, mask)
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

@@ -16,38 +16,41 @@ test, rhs = the reference it is supposed to equal):
   THM4_FACTORIZATION direct nested double sum  vs  partition_product
   END_TO_END         fast_count  vs  count_k_matchings
 
+Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
+the walker that produces its records.  The six graph claims share one
+walker, and discrepancy_search is END_TO_END's walker behind tighter
+guards, so verification and search produce records through one code path.
+
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
 rounded or tolerated.  Reports are canonical: records sorted by
 (claim, instance key), zero-padded numeric fields, rationals serialized
-as "p/q" strings, and byte-identical JSON regardless of worker count.
+as "p/q" strings, and byte-identical JSON from run to run.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import re
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._version import __version__
 from .coeffs import compute_f, compute_gprime
 from .errors import CapacityError
 from .exact import falling_factorial, rat_str
-from .fastcount import FastCountOptions, fast_count, lemma7_eval, partition_product
-from .graph import (
-    Graph,
-    degree_vector,
-    encode_graph6,
-    enumerate_all_graphs,
-    graph_from_mask,
-)
+from .fastcount import MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
+from .graph import MAX_ENUM_N, Graph, degree_vector, encode_graph6, enumerate_all_graphs
 from .oracle import (
+    MAX_ARRANGE_N,
+    MAX_INJECT_N,
+    MAX_LEMMA1_N,
+    MAX_MATCH_K,
+    MAX_THEOREM1_N,
+    MAX_THEOREM2_N,
     arrangement_sum,
     count_k_matchings,
     injection_sum,
@@ -56,8 +59,6 @@ from .oracle import (
     theorem2_eval,
 )
 from .partitions import SetPartition, enumerate_partitions
-
-
 class ClaimId(Enum):
     LEMMA2 = "LEMMA2"
     LEMMA3 = "LEMMA3"
@@ -109,36 +110,6 @@ OPTIONS_MATRIX = (
     FastCountOptions("paper", "paper"),
 )
 
-# per-claim (n_max, k_max) defaults and hard guards; k_max doubles as the
-# polynomial-k bound for LEMMA4 and as the ground-set bound m for
-# LEMMA6/THM4_FACTORIZATION.  LEMMA2/3 fix k=2, so their k budget is moot.
-_DEFAULTS = {
-    ClaimId.LEMMA2: (6, 2),
-    ClaimId.LEMMA3: (6, 2),
-    ClaimId.LEMMA4: (8, 6),
-    ClaimId.LEMMA6: (6, 4),
-    ClaimId.LEMMA1_VS_ORACLE: (4, 2),
-    ClaimId.THM1_VS_LEMMA1: (4, 2),
-    ClaimId.THM2_VS_THM1: (4, 2),
-    ClaimId.LEMMA7_VS_THM2: (4, 2),
-    ClaimId.THM3_VS_LEMMA7: (4, 2),
-    ClaimId.THM4_FACTORIZATION: (4, 4),
-    ClaimId.END_TO_END: (4, 2),
-}
-_GUARDS = {
-    ClaimId.LEMMA2: (10, 99),
-    ClaimId.LEMMA3: (10, 99),
-    ClaimId.LEMMA4: (10, 8),
-    ClaimId.LEMMA6: (8, 6),
-    ClaimId.LEMMA1_VS_ORACLE: (7, 8),
-    ClaimId.THM1_VS_LEMMA1: (7, 8),
-    ClaimId.THM2_VS_THM1: (6, 8),
-    ClaimId.LEMMA7_VS_THM2: (5, 8),
-    ClaimId.THM3_VS_LEMMA7: (5, 8),
-    ClaimId.THM4_FACTORIZATION: (7, 5),
-    ClaimId.END_TO_END: (7, 8),
-}
-
 _SORT_KEY = lambda r: (r.claim.value, r.instance)  # noqa: E731
 
 
@@ -156,60 +127,43 @@ def _mat(X: Sequence[Sequence[int]]) -> str:
 
 
 def _unique_gmodes(matrix: Sequence[FastCountOptions]) -> list[str]:
-    seen: list[str] = []
-    for o in matrix:
-        if o.gmode not in seen:
-            seen.append(o.gmode)
-    return seen
+    return list(dict.fromkeys(o.gmode for o in matrix))
 
 
 # -- per-claim instance walkers ----------------------------------------------
+#
+# A walker takes (claim, budget, options matrix), with the budget's n_max and
+# k_max already resolved, and returns the claim's records.  Referees are
+# looked up as module globals at call time, never held in a spec, so that
+# rebinding one here (a tracer's wrapper, a test's monkeypatch) takes effect.
 
-def _lemma2_rhs(x: Sequence[int]) -> int:
-    n = len(x)
-    double = 0
-    for a in range(n):
-        for b in range(n):
-            double += x[a] * x[b]
-    return double - sum(x[a] * x[a] for a in range(n))
-
-
-def _lemma3_rhs(x: Sequence[int]) -> int:
-    n = len(x)
-    double = 0
-    for a in range(n):
-        for b in range(n):
-            double += x[a] * x[b]
-    return double - sum(x[a] for a in range(n))
+def _double_sum(x: Sequence[int]) -> int:
+    """Sum of x[a]*x[b] over all ordered pairs (a, b), diagonal included."""
+    return sum(x[a] * x[b] for a in range(len(x)) for b in range(len(x)))
 
 
-def _records_lemma2(n_max, k_max, seed, trials, matrix):
+def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
+    """LEMMA2/3: arrangement_sum(x, 2) vs the double sum minus diagonal(x), on
+    every 0/1 vector x, plus seeded integer vectors if random_trials."""
+
+    def walk(claim, budget, matrix):
+        recs = []
+        for n in range(1, budget.n_max + 1):
+            xs = [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
+            for t in range(budget.trials if random_trials else 0):
+                rng = random.Random(f"L2:{budget.seed}:{n}:{t}")
+                x = tuple(rng.randint(-3, 3) for _ in range(n))
+                xs.append((f"n={n:02d}/seed={budget.seed:03d}/trial={t:02d}/x={_vec(x)}", x))
+            for inst, x in xs:
+                recs.append(_rec(claim, inst, arrangement_sum(x, 2), _double_sum(x) - diagonal(x)))
+        return recs
+
+    return walk
+
+
+def _records_lemma4(claim, budget, matrix):
     recs = []
-    for n in range(1, n_max + 1):
-        for x in product((0, 1), repeat=n):
-            recs.append(
-                _rec(ClaimId.LEMMA2, f"n={n:02d}/x={_vec(x)}", arrangement_sum(x, 2), _lemma2_rhs(x))
-            )
-        for t in range(trials):
-            rng = random.Random(f"L2:{seed}:{n}:{t}")
-            x = tuple(rng.randint(-3, 3) for _ in range(n))
-            inst = f"n={n:02d}/seed={seed:03d}/trial={t:02d}/x={_vec(x)}"
-            recs.append(_rec(ClaimId.LEMMA2, inst, arrangement_sum(x, 2), _lemma2_rhs(x)))
-    return recs
-
-
-def _records_lemma3(n_max, k_max, seed, trials, matrix):
-    recs = []
-    for n in range(1, n_max + 1):
-        for x in product((0, 1), repeat=n):
-            recs.append(
-                _rec(ClaimId.LEMMA3, f"n={n:02d}/x={_vec(x)}", arrangement_sum(x, 2), _lemma3_rhs(x))
-            )
-    return recs
-
-
-def _records_lemma4(n_max, k_max, seed, trials, matrix):
-    recs = []
+    k_max = budget.k_max
     gmodes = _unique_gmodes(matrix)
     for gm in gmodes:
         for k in range(2, k_max + 1):
@@ -217,9 +171,9 @@ def _records_lemma4(n_max, k_max, seed, trials, matrix):
             for s in range(0, 9):
                 lhs = sum(gp[l] * s**l for l in range(1, k + 1))
                 inst = f"k={k:02d}/s={s:02d}/gmode={gm}"
-                recs.append(_rec(ClaimId.LEMMA4, inst, lhs, falling_factorial(s, k)))
+                recs.append(_rec(claim, inst, lhs, falling_factorial(s, k)))
     kv_max = min(4, k_max)
-    for n in range(1, n_max + 1):
+    for n in range(1, budget.n_max + 1):
         for x in product((0, 1), repeat=n):
             s1 = sum(x)
             for k in range(2, kv_max + 1):
@@ -228,7 +182,7 @@ def _records_lemma4(n_max, k_max, seed, trials, matrix):
                     gp = compute_gprime(k, gm)
                     rhs = sum(gp[l] * s1**l for l in range(1, k + 1))
                     inst = f"n={n:02d}/x={_vec(x)}/k={k:02d}/gmode={gm}"
-                    recs.append(_rec(ClaimId.LEMMA4, inst, lhs, rhs))
+                    recs.append(_rec(claim, inst, lhs, rhs))
     return recs
 
 
@@ -244,17 +198,17 @@ def _lemma6_rhs(X, m, ftab) -> int:
     return total
 
 
-def _records_lemma6(n_max, k_max, seed, trials, matrix):
+def _records_lemma6(claim, budget, matrix):
     recs = []
-    m_max = k_max
+    seed, m_max = budget.seed, budget.k_max
     ftab = compute_f(m_max)
     for m in range(2, m_max + 1):
-        for n in range(m, n_max + 1):
-            for t in range(trials):
+        for n in range(m, budget.n_max + 1):
+            for t in range(budget.trials):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
                 X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
                 inst = f"m={m:02d}/n={n:02d}/seed={seed:03d}/trial={t:02d}/X={_mat(X)}"
-                recs.append(_rec(ClaimId.LEMMA6, inst, injection_sum(X, m), _lemma6_rhs(X, m, ftab)))
+                recs.append(_rec(claim, inst, injection_sum(X, m), _lemma6_rhs(X, m, ftab)))
     return recs
 
 
@@ -272,67 +226,108 @@ def _thm4_direct(n: int, cols, pi: SetPartition) -> int:
     return total
 
 
-def _records_thm4(n_max, k_max, seed, trials, matrix):
+def _records_thm4(claim, budget, matrix):
     recs = []
-    m_max = k_max
-    for n in range(1, n_max + 1):
+    for n in range(1, budget.n_max + 1):
         for g in enumerate_all_graphs(n):
             g6 = encode_graph6(g)
             d = degree_vector(g)
             cols = [tuple(g.adj[j][c] for j in range(n)) for c in range(n)]
-            for m in range(1, m_max + 1):
+            for m in range(1, budget.k_max + 1):
                 for pi in enumerate_partitions(m):
                     inst = f"n={n:02d}/g={g6}/m={m:02d}/pi={pi}"
-                    recs.append(
-                        _rec(ClaimId.THM4_FACTORIZATION, inst, _thm4_direct(n, cols, pi), partition_product(d, pi))
-                    )
+                    recs.append(_rec(claim, inst, _thm4_direct(n, cols, pi), partition_product(d, pi)))
     return recs
 
 
-def _records_chain(claim, n_max, k_max, seed, trials, matrix):
-    recs = []
-    gmodes = _unique_gmodes(matrix)
-    for n in range(1, n_max + 1):
-        for g in enumerate_all_graphs(n):
-            g6 = encode_graph6(g)
-            for k in range(1, k_max + 1):
-                base = f"n={n:02d}/g={g6}/k={k:02d}"
-                if claim is ClaimId.LEMMA1_VS_ORACLE:
-                    recs.append(_rec(claim, base, lemma1_sum(g, k), count_k_matchings(g, k)))
-                elif claim is ClaimId.THM1_VS_LEMMA1:
-                    rhs = lemma1_sum(g, k)
-                    for gm in gmodes:
-                        recs.append(_rec(claim, f"{base}/gmode={gm}", theorem1_eval(g, k, gm), rhs))
-                elif claim is ClaimId.THM2_VS_THM1:
-                    for gm in gmodes:
-                        recs.append(
-                            _rec(claim, f"{base}/gmode={gm}", theorem2_eval(g, k, gm), theorem1_eval(g, k, gm))
-                        )
-                elif claim is ClaimId.LEMMA7_VS_THM2:
-                    t2 = {gm: theorem2_eval(g, k, gm) for gm in gmodes}
-                    for opts in matrix:
-                        inst = f"{base}/gmode={opts.gmode}/index={opts.index_convention}"
-                        recs.append(_rec(claim, inst, lemma7_eval(g, k, opts), t2[opts.gmode]))
-                elif claim is ClaimId.THM3_VS_LEMMA7:
-                    for opts in matrix:
-                        inst = f"{base}/gmode={opts.gmode}/index={opts.index_convention}"
-                        recs.append(_rec(claim, inst, fast_count(g, k, opts).value, lemma7_eval(g, k, opts)))
-                elif claim is ClaimId.END_TO_END:
-                    truth = count_k_matchings(g, k)
-                    for opts in matrix:
-                        inst = f"{base}/gmode={opts.gmode}/index={opts.index_convention}"
-                        recs.append(_rec(claim, inst, fast_count(g, k, opts).value, truth))
-                else:
-                    raise AssertionError(claim)
-    return recs
+# what one side of a graph claim reads besides (graph, k): nothing, the
+# gmode, or the full options; _DEGREES reads the full options and sees the
+# graph only through its degree multiset, so graphs that share one share it
+_NONE, _GMODE, _OPTIONS, _DEGREES = range(4)
+_Side = Callable[[Graph, int, object], object]
 
 
-_EVALUATORS = {
-    ClaimId.LEMMA2: _records_lemma2,
-    ClaimId.LEMMA3: _records_lemma3,
-    ClaimId.LEMMA4: _records_lemma4,
-    ClaimId.LEMMA6: _records_lemma6,
-    ClaimId.THM4_FACTORIZATION: _records_thm4,
+def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
+    """Compare lhs(g, k, v) with rhs(g, k, v) on every labeled graph with
+    n <= n_max and every k <= k_max, one record per variant read.
+
+    v is None, a gmode or a FastCountOptions, as the side reads.  Each side is
+    evaluated once per (graph, k, v); a _DEGREES side once per (sorted degrees,
+    k, v) over the whole walk.
+    """
+    sides = ((0, lhs, lhs_reads), (1, rhs, rhs_reads))
+    reads = max(lhs_reads, rhs_reads)
+
+    def walk(claim, budget, matrix):
+        if reads == _NONE:
+            rows = [("", (None,) * 4)]
+        elif reads == _GMODE:
+            rows = [(f"/gmode={gm}", (None, gm, None, None)) for gm in _unique_gmodes(matrix)]
+        else:
+            rows = [(f"/gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in matrix]
+        shared: dict = {}
+        recs = []
+        for n in range(1, budget.n_max + 1):
+            for g in enumerate_all_graphs(n):
+                g6 = encode_graph6(g)
+                degrees = tuple(sorted(degree_vector(g)))
+                for k in range(1, budget.k_max + 1):
+                    base = f"n={n:02d}/g={g6}/k={k:02d}"
+                    own: dict = {}
+                    for suffix, variants in rows:
+                        values = []
+                        for i, side, level in sides:
+                            v = variants[level]
+                            memo, key = (shared, (i, degrees, k, v)) if level == _DEGREES else (own, (i, v))
+                            if key not in memo:
+                                memo[key] = side(g, k, v)
+                            values.append(memo[key])
+                        recs.append(_rec(claim, base + suffix, *values))
+        return recs
+
+    return walk
+
+
+@dataclass(frozen=True)
+class ClaimSpec:
+    """One claim: its default budget, its guard and its record walker.
+
+    Both pairs are (n_max, k_max).  k_max doubles as the polynomial-k bound
+    for LEMMA4 and as the ground-set bound m for LEMMA6/THM4_FACTORIZATION;
+    LEMMA2/3 fix k=2, so their k budget is moot.  Guards are the referees'
+    own MAX_* bounds wherever one exists.
+    """
+
+    defaults: tuple[int, int]
+    guard: tuple[int, int]
+    walk: Callable[[ClaimId, Budget, tuple], list[VerificationRecord]]
+
+
+_SPECS: dict[ClaimId, ClaimSpec] = {
+    ClaimId.LEMMA2: ClaimSpec((6, 2), (MAX_ARRANGE_N, 99), _pair_walker(
+        lambda x: sum(v * v for v in x), True)),
+    ClaimId.LEMMA3: ClaimSpec((6, 2), (MAX_ARRANGE_N, 99), _pair_walker(sum, False)),
+    ClaimId.LEMMA4: ClaimSpec((8, 6), (MAX_ARRANGE_N, 8), _records_lemma4),
+    ClaimId.LEMMA6: ClaimSpec((6, 4), (MAX_INJECT_N, 6), _records_lemma6),
+    ClaimId.LEMMA1_VS_ORACLE: ClaimSpec((4, 2), (MAX_LEMMA1_N, MAX_MATCH_K), _graph_walker(
+        lambda g, k, _: lemma1_sum(g, k), _NONE,
+        lambda g, k, _: count_k_matchings(g, k), _NONE)),
+    ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_THEOREM1_N, 8), _graph_walker(
+        lambda g, k, gm: theorem1_eval(g, k, gm), _GMODE,
+        lambda g, k, _: lemma1_sum(g, k), _NONE)),
+    ClaimId.THM2_VS_THM1: ClaimSpec((4, 2), (MAX_THEOREM2_N, 8), _graph_walker(
+        lambda g, k, gm: theorem2_eval(g, k, gm), _GMODE,
+        lambda g, k, gm: theorem1_eval(g, k, gm), _GMODE)),
+    ClaimId.LEMMA7_VS_THM2: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(
+        lambda g, k, o: lemma7_eval(g, k, o), _OPTIONS,
+        lambda g, k, gm: theorem2_eval(g, k, gm), _GMODE)),
+    ClaimId.THM3_VS_LEMMA7: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(
+        lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
+        lambda g, k, o: lemma7_eval(g, k, o), _OPTIONS)),
+    ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _records_thm4),
+    ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(
+        lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
+        lambda g, k, _: count_k_matchings(g, k), _NONE)),
 }
 
 
@@ -343,62 +338,23 @@ def verify_claim(
 ) -> list[VerificationRecord]:
     """Evaluate both sides of one claim on every instance in the budget."""
     budget = budget or Budget()
-    n_default, k_default = _DEFAULTS[claim]
-    n_max = budget.n_max if budget.n_max is not None else n_default
-    k_max = budget.k_max if budget.k_max is not None else k_default
+    spec = _SPECS[claim]
+    n_max = budget.n_max if budget.n_max is not None else spec.defaults[0]
+    k_max = budget.k_max if budget.k_max is not None else spec.defaults[1]
     if n_max < 1 or k_max < 1:
         raise ValueError(f"budget bounds must be positive, got n_max={n_max}, k_max={k_max}")
-    n_guard, k_guard = _GUARDS[claim]
+    n_guard, k_guard = spec.guard
     if n_max > n_guard or k_max > k_guard:
         raise CapacityError(
             f"budget n_max={n_max}, k_max={k_max} exceeds {claim.value} "
             f"guard (n_max <= {n_guard}, k_max <= {k_guard})"
         )
     matrix = tuple(options) if options is not None else OPTIONS_MATRIX
-    walker = _EVALUATORS.get(claim)
-    if walker is not None:
-        recs = walker(n_max, k_max, budget.seed, budget.trials, matrix)
-    else:
-        recs = _records_chain(claim, n_max, k_max, budget.seed, budget.trials, matrix)
+    recs = spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max), matrix)
     return sorted(recs, key=_SORT_KEY)
 
 
 # -- discrepancy search ------------------------------------------------------
-
-_SEARCH_CHUNK = 4096
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("KMATCH_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"KMATCH_THREADS must be an integer, got {raw!r}") from None
-    return max(1, cap)
-
-
-def _search_chunk(task) -> list[VerificationRecord]:
-    n, lo, hi, k_max, matrix = task
-    recs = []
-    # fast_count sees a graph only through its degree multiset, so graphs
-    # that share one share the claimed value
-    claimed: dict[tuple, Fraction] = {}
-    for mask in range(lo, hi):
-        g = graph_from_mask(n, mask)
-        g6 = encode_graph6(g)
-        degrees = tuple(sorted(degree_vector(g)))
-        for k in range(1, k_max + 1):
-            truth = count_k_matchings(g, k)
-            for opts in matrix:
-                inst = f"n={n:02d}/g={g6}/k={k:02d}/gmode={opts.gmode}/index={opts.index_convention}"
-                key = (degrees, k, opts)
-                if key not in claimed:
-                    claimed[key] = fast_count(g, k, opts).value
-                recs.append(_rec(ClaimId.END_TO_END, inst, claimed[key], truth))
-    return recs
-
 
 def discrepancy_search(
     n_max: int,
@@ -407,27 +363,18 @@ def discrepancy_search(
 ) -> VerificationReport:
     """fast_count vs oracle on every labeled graph up to n_max, every k, every combo.
 
-    Emits one END_TO_END record per (graph, k, options) triple; the report is
-    canonical and byte-identical for any KMATCH_THREADS setting.
+    Emits one END_TO_END record per (graph, k, options) triple, from the
+    same walker as verify_claim(END_TO_END), into one canonical report.  Its
+    guards (n_max <= 6, k_max <= 3) are tighter than the claim's, since the
+    whole report is held in memory.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError(f"bounds must be positive, got n_max={n_max}, k_max={k_max}")
     if n_max > 6 or k_max > 3:
         raise CapacityError(f"search refused: n_max={n_max}, k_max={k_max} (limits 6, 3)")
     matrix = tuple(options_matrix) if options_matrix is not None else OPTIONS_MATRIX
-    tasks = []
-    for n in range(1, n_max + 1):
-        total = 1 << (n * (n - 1) // 2)
-        for lo in range(0, total, _SEARCH_CHUNK):
-            tasks.append((n, lo, min(lo + _SEARCH_CHUNK, total), k_max, matrix))
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(_search_chunk, tasks))
-    else:
-        chunks = [_search_chunk(t) for t in tasks]
-    records = [r for ch in chunks for r in ch]
-    return build_report(records, matrix)
+    claim = ClaimId.END_TO_END
+    return build_report(_SPECS[claim].walk(claim, Budget(n_max, k_max), matrix), matrix)
 
 
 # -- report assembly and serialization ---------------------------------------

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import prod
+from math import factorial, prod
 from typing import Sequence
 
 from .coeffs import compute_gprime
 from .errors import CapacityError
-from .exact import factorial
 from .graph import Graph
 
 MAX_MATCH_EDGES = 64

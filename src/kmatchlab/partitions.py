@@ -91,19 +91,6 @@ def enumerate_partitions(m: int) -> Iterator[SetPartition]:
         yield SetPartition(_blocks_of_rgs(rgs))
 
 
-def enumerate_partitions_q(m: int, q: int) -> Iterator[SetPartition]:
-    """Exactly the partitions of {1..m} with q blocks, in enumeration order."""
-    if m < 1:
-        raise ValueError(f"ground-set size must be positive, got {m}")
-    if not 1 <= q <= m:
-        raise ValueError(f"block count q={q} out of range 1..{m}")
-    if m > MAX_ENUM_M:
-        raise CapacityError(f"refusing to enumerate B_{m} partitions (m={m} > {MAX_ENUM_M})")
-    for rgs in _rgs_stream(m):
-        if max(rgs) + 1 == q:
-            yield SetPartition(_blocks_of_rgs(rgs))
-
-
 @lru_cache(maxsize=None)
 def stirling2(m: int, q: int) -> int:
     """S(m, q) by the recurrence S(m,q) = q·S(m-1,q) + S(m-1,q-1)."""

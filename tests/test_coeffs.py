@@ -12,13 +12,13 @@ values and against its closed form.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
 from kmatchlab.coeffs import FTable, compute_f, compute_f_types, compute_gprime
 from kmatchlab.errors import CapacityError
-from kmatchlab.exact import factorial, falling_factorial
+from kmatchlab.exact import falling_factorial
 from kmatchlab.oracle import injection_sum
 from kmatchlab.partitions import SetPartition, bell, enumerate_partitions
 

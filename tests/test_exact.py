@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmatchlab.exact import factorial, falling_factorial, rat_from_str, rat_str
-
-
-def test_factorial_small():
-    assert [factorial(m) for m in range(6)] == [1, 1, 2, 6, 24, 120]
-
-
-def test_factorial_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
+from kmatchlab.exact import falling_factorial, rat_from_str, rat_str
 
 
 def test_falling_factorial_table():

@@ -1,17 +1,17 @@
 """Claim walkers, the exhaustive search, and report plumbing.
 
-Beyond unit behavior, two meta-properties are enforced: reports must be
-byte-identical regardless of worker count, and summaries must be honest
-recounts of the records they summarize.
+Beyond unit behavior, two meta-properties are enforced: report bytes are
+pinned by golden digests, and summaries must be honest recounts of the
+records they summarize.
 """
 
 import hashlib
-import os
 import re
 from fractions import Fraction
 
 import pytest
 
+from kmatchlab import harness
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
 from kmatchlab.graph import parse_graph6
@@ -20,7 +20,6 @@ from kmatchlab.harness import (
     Budget,
     ClaimId,
     VerificationRecord,
-    _worker_count,
     build_report,
     discrepancy_search,
     report_from_json,
@@ -108,6 +107,26 @@ def test_chain_is_sorted_and_respects_options_subset():
     assert _counts(recs)[1] == 0
 
 
+# ClaimId order; each claim's (n_max, k_max) guard
+GUARDS = [(10, 99), (10, 99), (10, 8), (8, 6), (7, 8), (7, 8), (6, 8), (5, 8), (5, 8), (7, 5), (7, 8)]
+
+
+@pytest.mark.parametrize("claim, guard", zip(ClaimId, GUARDS), ids=[c.value for c in ClaimId])
+def test_every_claim_guard_fires_before_work(monkeypatch, claim, guard):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a walker ran past the guard")
+
+    monkeypatch.setattr(harness, "enumerate_all_graphs", no_work)
+    monkeypatch.setattr(harness, "product", no_work)
+    monkeypatch.setattr(harness, "compute_gprime", no_work)
+    monkeypatch.setattr(harness, "compute_f", no_work)
+    n_guard, k_guard = guard
+    with pytest.raises(CapacityError):
+        verify_claim(claim, Budget(n_max=n_guard + 1, k_max=1))
+    with pytest.raises(CapacityError):
+        verify_claim(claim, Budget(n_max=1, k_max=k_guard + 1))
+
+
 def test_verify_claim_guards_fire_before_work():
     with pytest.raises(CapacityError):
         verify_claim(ClaimId.LEMMA7_VS_THM2, Budget(n_max=6, k_max=2))
@@ -141,14 +160,6 @@ def test_search_completeness_and_determinism():
     assert report_to_json(rep) == report_to_json(again)
 
 
-def test_search_worker_count_does_not_change_bytes(monkeypatch):
-    monkeypatch.setenv("KMATCH_THREADS", "1")
-    serial = report_to_json(discrepancy_search(3, 2))
-    monkeypatch.setenv("KMATCH_THREADS", "2")
-    parallel = report_to_json(discrepancy_search(3, 2))
-    assert serial == parallel
-
-
 @pytest.mark.parametrize(
     "n_max, k_max, digest",
     [
@@ -156,10 +167,9 @@ def test_search_worker_count_does_not_change_bytes(monkeypatch):
         (5, 3, "c3ca25f7cd19b1fe643586ba458a7229638f2eb1804ff83c273f3da5bd9b48da"),
     ],
 )
-def test_search_report_golden_digest(monkeypatch, n_max, k_max, digest):
+def test_search_report_golden_digest(n_max, k_max, digest):
     # refactors of the formula or the search must leave the report bytes as
     # they are
-    monkeypatch.setenv("KMATCH_THREADS", "1")
     text = report_to_json(discrepancy_search(n_max, k_max))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
@@ -185,6 +195,12 @@ def test_verify_all_report_golden_digest(verify_all_report, formatter, digest):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n_max, k_max", [(3, 2), (4, 3)])
+def test_search_records_are_end_to_end_records(n_max, k_max):
+    # verify and search produce END_TO_END records through one code path
+    assert verify_claim(ClaimId.END_TO_END, Budget(n_max, k_max)) == discrepancy_search(n_max, k_max).records
+
+
 def test_search_soundness_spot_check():
     rep = discrepancy_search(4, 2)
     pat = re.compile(r"n=(\d+)/g=(.+)/k=(\d+)/gmode=(\w+)/index=(\w+)$")
@@ -208,18 +224,6 @@ def test_search_guards():
         discrepancy_search(3, 4)
     with pytest.raises(ValueError):
         discrepancy_search(0, 1)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("KMATCH_THREADS", raising=False)
-    assert _worker_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("KMATCH_THREADS", "3")
-    assert _worker_count() == 3
-    monkeypatch.setenv("KMATCH_THREADS", "0")
-    assert _worker_count() == 1
-    monkeypatch.setenv("KMATCH_THREADS", "many")
-    with pytest.raises(ValueError):
-        _worker_count()
 
 
 def test_json_round_trip_preserves_everything():

@@ -8,12 +8,13 @@ with rook placements up to the same power of two, and arrangement sums over
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kmatchlab.errors import CapacityError
-from kmatchlab.exact import factorial, falling_factorial
+from kmatchlab.exact import falling_factorial
 from kmatchlab.graph import Graph, enumerate_all_graphs, from_edge_list, generate
 from kmatchlab.oracle import (
     arrangement_sum,

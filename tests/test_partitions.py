@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from kmatchlab.partitions import (
     SetPartition,
     bell,
     enumerate_partitions,
-    enumerate_partitions_q,
     stirling2,
 )
 
@@ -46,8 +47,8 @@ def test_enumeration_order_is_rgs_lex():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_counts_match_stirling_and_bell(m):
     assert len(list(enumerate_partitions(m))) == bell(m)
-    for q in range(1, m + 1):
-        assert len(list(enumerate_partitions_q(m, q))) == stirling2(m, q)
+    by_blocks = Counter(len(p.blocks) for p in enumerate_partitions(m))
+    assert by_blocks == {q: stirling2(m, q) for q in range(1, m + 1)}
 
 
 def test_stirling_known_values():
@@ -87,10 +88,6 @@ def test_enumeration_guards():
         next(enumerate_partitions(0))
     with pytest.raises(CapacityError):
         next(enumerate_partitions(13))
-    with pytest.raises(ValueError):
-        next(enumerate_partitions_q(3, 0))
-    with pytest.raises(ValueError):
-        next(enumerate_partitions_q(3, 4))
 
 
 @given(st.integers(min_value=1, max_value=7))
