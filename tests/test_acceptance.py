@@ -5,6 +5,7 @@ clock budget.  The budgets are asserted, not just observed; the printed
 lines bypass capture so a bare pytest run always shows the scoreboard.
 """
 
+import hashlib
 import re
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from kmatchlab.harness import (
     Budget,
     ClaimId,
     discrepancy_search,
+    report_to_json,
     verify_claim,
 )
 from kmatchlab.oracle import count_k_directed_matchings, count_k_matchings
@@ -153,6 +155,9 @@ def test_criterion_6_exhaustive_search(capsys):
     )
     _scoreboard(capsys, 6, "exhaustive discrepancy search", ok, f"{len(rep.records)} records, {elapsed:.2f}s")
     assert ok
+    # the bytes of `kmatch search --nmax 6 --kmax 3`
+    digest = hashlib.sha256(report_to_json(rep).encode("ascii")).hexdigest()
+    assert digest == "9fa90d0d1b292737fb58057f7cb5aec9c5f14a5f162e8dd62e9644e864a2d6f1"
 
 
 def test_criterion_7_directed_matching_scaling(capsys):
