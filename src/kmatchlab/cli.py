@@ -30,10 +30,9 @@ from .harness import (
     ClaimId,
     build_report,
     discrepancy_search,
-    report_to_json,
+    stream_report,
     verify_claim,
     write_report,
-    _FORMATTERS,
 )
 from .oracle import (
     count_k_directed_matchings,
@@ -89,6 +88,21 @@ def _write_stdout(text: str) -> None:
     while data:
         data = data[out.write(data) :]
     out.flush()
+
+
+class _Stdout:
+    """A text stream whose writes go through _write_stdout."""
+
+    def write(self, text: str) -> None:
+        _write_stdout(text)
+
+
+def _emit_report(report, format: str, path: str | None) -> None:
+    """Stream the report to path, or to stdout when no path is given."""
+    if path:
+        write_report(report, format, path)
+    else:
+        stream_report(report, format, _Stdout())
 
 
 def _emit_json(obj) -> None:
@@ -150,25 +164,18 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claims = list(ClaimId) if args.claim == "all" else [ClaimId(args.claim)]
+    # in report order, so that build_report finds the records sorted
+    claims = sorted(ClaimId, key=lambda c: c.value) if args.claim == "all" else [ClaimId(args.claim)]
     budget = Budget(n_max=args.nmax, k_max=args.kmax, seed=args.seed)
     records = []
     for claim in claims:
         records.extend(verify_claim(claim, budget))
-    report = build_report(records, OPTIONS_MATRIX)
-    if args.out:
-        write_report(report, args.format, args.out)
-    else:
-        _write_stdout(_FORMATTERS[args.format](report))
+    _emit_report(build_report(records, OPTIONS_MATRIX), args.format, args.out)
     return 0
 
 
 def _cmd_search(args) -> int:
-    report = discrepancy_search(args.nmax, args.kmax)
-    if args.out:
-        write_report(report, "json", args.out)
-    else:
-        _write_stdout(report_to_json(report))
+    _emit_report(discrepancy_search(args.nmax, args.kmax), "json", args.out)
     return 0
 
 

@@ -21,44 +21,43 @@ the walker that produces its records.  The six graph claims share one
 walker, and discrepancy_search is END_TO_END's walker behind tighter
 guards, so verification and search produce records through one code path.
 
+Records are structured: claim, instance head, variant ("", gmode=X or
+gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
+return them, int or Fraction.  The instance key is head/variant.
+
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
 rounded or tolerated.  Reports are canonical: records sorted by
 (claim, instance key), zero-padded numeric fields, rationals serialized
-as "p/q" strings, and byte-identical JSON from run to run.
+as "p/q" strings, and byte-identical JSON from run to run.  Writers put a
+report on a text stream one chunk of records at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
-import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 from math import prod
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence, TextIO
 
 from ._version import __version__
 from .coeffs import compute_f, compute_gprime
 from .errors import CapacityError
-from .exact import falling_factorial, rat_str
+from .exact import falling_factorial, rat_from_str, rat_str
 from .fastcount import MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
 from .graph import MAX_ENUM_N, Graph, degree_vector, encode_graph6, enumerate_all_graphs
-from .oracle import (
-    MAX_ARRANGE_N,
-    MAX_INJECT_N,
-    MAX_LEMMA1_N,
-    MAX_MATCH_K,
-    MAX_THEOREM1_N,
-    MAX_THEOREM2_N,
-    arrangement_sum,
-    count_k_matchings,
-    injection_sum,
-    lemma1_sum,
-    theorem1_eval,
-    theorem2_eval,
-)
+from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_LEMMA1_N, MAX_MATCH_K, MAX_THEOREM1_N, MAX_THEOREM2_N,
+                     arrangement_sum, count_k_matchings, injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
 from .partitions import SetPartition, enumerate_partitions
+
+
 class ClaimId(Enum):
     LEMMA2 = "LEMMA2"
     LEMMA3 = "LEMMA3"
@@ -73,13 +72,20 @@ class ClaimId(Enum):
     END_TO_END = "END_TO_END"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationRecord:
+    """One compared instance, keyed head/variant, or head alone if variant is ""."""
+
     claim: ClaimId
-    instance: str
-    lhs: Fraction
-    rhs: Fraction
+    head: str
+    lhs: int | Fraction
+    rhs: int | Fraction
     verdict: str
+    variant: str = ""
+
+    @property
+    def instance(self) -> str:
+        return f"{self.head}/{self.variant}" if self.variant else self.head
 
 
 @dataclass
@@ -110,12 +116,23 @@ OPTIONS_MATRIX = (
     FastCountOptions("paper", "paper"),
 )
 
-_SORT_KEY = lambda r: (r.claim.value, r.instance)  # noqa: E731
+
+def _rec(claim: ClaimId, head: str, lhs, rhs, variant: str = "") -> VerificationRecord:
+    return VerificationRecord(claim, head, lhs, rhs, "match" if lhs == rhs else "mismatch", variant)
 
 
-def _rec(claim: ClaimId, instance: str, lhs, rhs) -> VerificationRecord:
-    l, r = Fraction(lhs), Fraction(rhs)
-    return VerificationRecord(claim, instance, l, r, "match" if l == r else "mismatch")
+def _canonical(records: list[VerificationRecord]) -> list[VerificationRecord]:
+    """records in (claim.value, instance) order, sorted only if they are not
+    already.  Within one claim no head is a proper prefix of another, so
+    (head, variant) orders the instances the same way without building them."""
+
+    def in_order(a: VerificationRecord, b: VerificationRecord) -> bool:
+        if a.claim is b.claim:
+            return a.head < b.head or (a.head == b.head and a.variant <= b.variant)
+        return a.claim.value < b.claim.value
+
+    in_place = all(map(in_order, records, records[1:]))
+    return records if in_place else sorted(records, key=lambda r: (r.claim.value, r.head, r.variant))
 
 
 def _vec(x: Sequence[int]) -> str:
@@ -170,19 +187,18 @@ def _records_lemma4(claim, budget, matrix):
             gp = compute_gprime(k, gm)
             for s in range(0, 9):
                 lhs = sum(gp[l] * s**l for l in range(1, k + 1))
-                inst = f"k={k:02d}/s={s:02d}/gmode={gm}"
-                recs.append(_rec(claim, inst, lhs, falling_factorial(s, k)))
+                recs.append(_rec(claim, f"k={k:02d}/s={s:02d}", lhs, falling_factorial(s, k), f"gmode={gm}"))
     kv_max = min(4, k_max)
     for n in range(1, budget.n_max + 1):
         for x in product((0, 1), repeat=n):
             s1 = sum(x)
             for k in range(2, kv_max + 1):
                 lhs = arrangement_sum(x, k)
+                head = f"n={n:02d}/x={_vec(x)}/k={k:02d}"
                 for gm in gmodes:
                     gp = compute_gprime(k, gm)
                     rhs = sum(gp[l] * s1**l for l in range(1, k + 1))
-                    inst = f"n={n:02d}/x={_vec(x)}/k={k:02d}/gmode={gm}"
-                    recs.append(_rec(claim, inst, lhs, rhs))
+                    recs.append(_rec(claim, head, lhs, rhs, f"gmode={gm}"))
     return recs
 
 
@@ -253,7 +269,7 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
 
     v is None, a gmode or a FastCountOptions, as the side reads.  Each side is
     evaluated once per (graph, k, v); a _DEGREES side once per (sorted degrees,
-    k, v) over the whole walk.
+    k, v) over the whole walk.  Records come out in canonical order.
     """
     sides = ((0, lhs, lhs_reads), (1, rhs, rhs_reads))
     reads = max(lhs_reads, rhs_reads)
@@ -262,19 +278,22 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
         if reads == _NONE:
             rows = [("", (None,) * 4)]
         elif reads == _GMODE:
-            rows = [(f"/gmode={gm}", (None, gm, None, None)) for gm in _unique_gmodes(matrix)]
+            rows = [(f"gmode={gm}", (None, gm, None, None)) for gm in _unique_gmodes(matrix)]
         else:
-            rows = [(f"/gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in matrix]
+            rows = [(f"gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in matrix]
+        rows.sort(key=itemgetter(0))
         shared: dict = {}
         recs = []
         for n in range(1, budget.n_max + 1):
+            blocks = []  # (graph6, the graph's records)
             for g in enumerate_all_graphs(n):
                 g6 = encode_graph6(g)
                 degrees = tuple(sorted(degree_vector(g)))
+                block = []
                 for k in range(1, budget.k_max + 1):
-                    base = f"n={n:02d}/g={g6}/k={k:02d}"
+                    head = f"n={n:02d}/g={g6}/k={k:02d}"
                     own: dict = {}
-                    for suffix, variants in rows:
+                    for variant, variants in rows:
                         values = []
                         for i, side, level in sides:
                             v = variants[level]
@@ -282,7 +301,10 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
                             if key not in memo:
                                 memo[key] = side(g, k, v)
                             values.append(memo[key])
-                        recs.append(_rec(claim, base + suffix, *values))
+                        block.append(_rec(claim, head, *values, variant))
+                blocks.append((g6, block))
+            blocks.sort(key=itemgetter(0))
+            recs.extend(r for _, block in blocks for r in block)
         return recs
 
     return walk
@@ -350,8 +372,7 @@ def verify_claim(
             f"guard (n_max <= {n_guard}, k_max <= {k_guard})"
         )
     matrix = tuple(options) if options is not None else OPTIONS_MATRIX
-    recs = spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max), matrix)
-    return sorted(recs, key=_SORT_KEY)
+    return _canonical(spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max), matrix))
 
 
 # -- discrepancy search ------------------------------------------------------
@@ -365,8 +386,8 @@ def discrepancy_search(
 
     Emits one END_TO_END record per (graph, k, options) triple, from the
     same walker as verify_claim(END_TO_END), into one canonical report.  Its
-    guards (n_max <= 6, k_max <= 3) are tighter than the claim's, since the
-    whole report is held in memory.
+    guards (n_max <= 6, k_max <= 3) are tighter than the claim's, since every
+    record is held in memory; the report's text never is whole.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError(f"bounds must be positive, got n_max={n_max}, k_max={k_max}")
@@ -379,157 +400,136 @@ def discrepancy_search(
 
 # -- report assembly and serialization ---------------------------------------
 
-_GMODE_RE = re.compile(r"gmode=(\w+)")
-_INDEX_RE = re.compile(r"index=(\w+)")
-
-
-def _options_key(instance: str) -> str | None:
-    gm = _GMODE_RE.search(instance)
-    ix = _INDEX_RE.search(instance)
-    if gm and ix:
-        return f"gmode={gm.group(1)}/index={ix.group(1)}"
-    if gm:
-        return f"gmode={gm.group(1)}"
-    return None
-
-
 def build_report(
     records: Iterable[VerificationRecord],
     options_matrix: Iterable[FastCountOptions] = (),
 ) -> VerificationReport:
-    """Sort records canonically and tally summaries and first counterexamples."""
-    recs = sorted(records, key=_SORT_KEY)
-    summary: dict[str, dict[str, int]] = {}
-    options_summary: dict[str, dict] = {}
-    first_cx: dict[str, str] = {}
+    """Put records in canonical order and tally summaries and first
+    counterexamples, per claim and per variant."""
+    recs = _canonical(list(records))
+    summary, options_summary, first_cx, claim = {}, {}, {}, None
     for r in recs:
-        tally = summary.setdefault(r.claim.value, {"match": 0, "mismatch": 0})
-        tally[r.verdict] += 1
-        if r.verdict == "mismatch" and r.claim.value not in first_cx:
-            first_cx[r.claim.value] = r.instance
-        okey = _options_key(r.instance)
-        if okey is not None:
-            ot = options_summary.setdefault(
-                okey, {"match": 0, "mismatch": 0, "first_counterexample": None}
-            )
-            ot[r.verdict] += 1
-            if r.verdict == "mismatch" and ot["first_counterexample"] is None:
+        if r.claim is not claim:
+            claim, name = r.claim, r.claim.value
+            tally = summary.setdefault(name, {"match": 0, "mismatch": 0})
+        verdict = r.verdict
+        tally[verdict] += 1
+        if verdict == "mismatch" and name not in first_cx:
+            first_cx[name] = r.instance
+        if r.variant:
+            ot = options_summary.get(r.variant)
+            if ot is None:
+                ot = options_summary[r.variant] = {"match": 0, "mismatch": 0, "first_counterexample": None}
+            ot[verdict] += 1
+            if verdict == "mismatch" and ot["first_counterexample"] is None:
                 ot["first_counterexample"] = r.instance
-    return VerificationReport(
-        version=__version__,
-        options_matrix=tuple(options_matrix),
-        records=recs,
-        summary=summary,
-        options_summary=options_summary,
-        first_counterexample=first_cx,
-    )
-
-
-def report_to_json(report: VerificationReport) -> str:
-    import json
-
-    obj = {
-        "version": report.version,
-        "options_matrix": [
-            {"gmode": o.gmode, "index_convention": o.index_convention}
-            for o in report.options_matrix
-        ],
-        "records": [
-            {
-                "claim": r.claim.value,
-                "instance": r.instance,
-                "lhs": rat_str(r.lhs),
-                "rhs": rat_str(r.rhs),
-                "verdict": r.verdict,
-            }
-            for r in report.records
-        ],
-        "summary": report.summary,
-        "options_summary": report.options_summary,
-        "first_counterexample": report.first_counterexample,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return VerificationReport(__version__, tuple(options_matrix), recs, summary, options_summary, first_cx)
 
 
 def report_from_json(text: str) -> VerificationReport:
-    import json
-
-    from .exact import rat_from_str
-
     obj = json.loads(text)
-    records = [
-        VerificationRecord(
-            ClaimId(r["claim"]),
-            r["instance"],
-            rat_from_str(r["lhs"]),
-            rat_from_str(r["rhs"]),
-            r["verdict"],
-        )
-        for r in obj["records"]
-    ]
-    matrix = tuple(
-        FastCountOptions(o["gmode"], o["index_convention"]) for o in obj["options_matrix"]
-    )
-    return VerificationReport(
-        version=obj["version"],
-        options_matrix=matrix,
-        records=records,
-        summary=obj["summary"],
-        options_summary=obj["options_summary"],
-        first_counterexample=obj["first_counterexample"],
-    )
+    records = []
+    for r in obj["records"]:
+        head, sep, rest = r["instance"].partition("/gmode=")
+        records.append(VerificationRecord(ClaimId(r["claim"]), head, rat_from_str(r["lhs"]),
+                                          rat_from_str(r["rhs"]), r["verdict"], "gmode=" + rest if sep else ""))
+    matrix = tuple(FastCountOptions(o["gmode"], o["index_convention"]) for o in obj["options_matrix"])
+    return VerificationReport(obj["version"], matrix, records, obj["summary"], obj["options_summary"],
+                              obj["first_counterexample"])
 
 
-def report_to_csv(report: VerificationReport) -> str:
-    import csv
-    import io
+# A writer puts a report on a text stream, its records _CHUNK at a time, so
+# that no sink holds more than one chunk of the report's text.
+_CHUNK = 2048
 
+
+def _chunks(records: list[VerificationRecord]):
+    for i in range(0, len(records), _CHUNK):
+        yield records[i:i + _CHUNK]
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write_json(report: VerificationReport, out: TextIO) -> None:
+    # the bytes of _dumps(the report as one dict) + "\n": keys in sorted order
+    matrix = [{"gmode": o.gmode, "index_convention": o.index_convention} for o in report.options_matrix]
+    out.write(f'{{"first_counterexample":{_dumps(report.first_counterexample)},"options_matrix":'
+              f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
+    for i, chunk in enumerate(_chunks(report.records)):
+        out.write("," * (i > 0) + ",".join(
+            f'{{"claim":{_quote(r.claim.value)},"instance":{_quote(r.instance)},"lhs":"{rat_str(r.lhs)}",'
+            f'"rhs":"{rat_str(r.rhs)}","verdict":{_quote(r.verdict)}}}' for r in chunk))
+    out.write(f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n')
+
+
+def _write_csv(report: VerificationReport, out: TextIO) -> None:
+    out.write("claim,instance,lhs,rhs,verdict\n")
+    for chunk in _chunks(report.records):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            (r.claim.value, r.instance, rat_str(r.lhs), rat_str(r.rhs), r.verdict) for r in chunk)
+        out.write(buf.getvalue())
+
+
+def _write_text(report: VerificationReport, out: TextIO) -> None:
+    lines = [f"verification report (tool version {report.version})"]
+    if report.options_matrix:
+        lines.append("options matrix: " + ", ".join(
+            f"gmode={o.gmode}/index={o.index_convention}" for o in report.options_matrix))
+    lines.append("summary:")
+    firsts = report.first_counterexample
+    for claim, t in sorted(report.summary.items()):
+        cx = f" (first counterexample: {firsts[claim]})" if claim in firsts else ""
+        lines.append(f"  {claim}: {t['match']} match, {t['mismatch']} mismatch{cx}")
+    for okey, t in sorted(report.options_summary.items()):
+        cx = f" (first counterexample: {t['first_counterexample']})" if t["first_counterexample"] else ""
+        lines.append(f"  [{okey}]: {t['match']} match, {t['mismatch']} mismatch{cx}")
+    lines.append("records:")
+    out.write("\n".join(lines) + "\n")
+    for chunk in _chunks(report.records):
+        out.write("".join(f"  {r.claim.value} {r.instance} lhs={rat_str(r.lhs)} rhs={rat_str(r.rhs)} "
+                          f"{r.verdict}\n" for r in chunk))
+
+
+_WRITERS = {"json": _write_json, "csv": _write_csv, "text": _write_text}
+
+
+def _writer(format: str) -> Callable[[VerificationReport, TextIO], None]:
+    if format not in _WRITERS:
+        raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
+    return _WRITERS[format]
+
+
+def _to_str(format: str, report: VerificationReport) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["claim", "instance", "lhs", "rhs", "verdict"])
-    for r in report.records:
-        w.writerow([r.claim.value, r.instance, rat_str(r.lhs), rat_str(r.rhs), r.verdict])
+    _WRITERS[format](report, buf)
     return buf.getvalue()
 
 
+def report_to_json(report: VerificationReport) -> str:
+    return _to_str("json", report)
+
+
+def report_to_csv(report: VerificationReport) -> str:
+    return _to_str("csv", report)
+
+
 def report_to_text(report: VerificationReport) -> str:
-    lines = [f"verification report (tool version {report.version})"]
-    if report.options_matrix:
-        combos = ", ".join(
-            f"gmode={o.gmode}/index={o.index_convention}" for o in report.options_matrix
-        )
-        lines.append(f"options matrix: {combos}")
-    lines.append("summary:")
-    for claim in sorted(report.summary):
-        tally = report.summary[claim]
-        line = f"  {claim}: {tally['match']} match, {tally['mismatch']} mismatch"
-        if claim in report.first_counterexample:
-            line += f" (first counterexample: {report.first_counterexample[claim]})"
-        lines.append(line)
-    for okey in sorted(report.options_summary):
-        ot = report.options_summary[okey]
-        line = f"  [{okey}]: {ot['match']} match, {ot['mismatch']} mismatch"
-        if ot["first_counterexample"]:
-            line += f" (first counterexample: {ot['first_counterexample']})"
-        lines.append(line)
-    lines.append("records:")
-    for r in report.records:
-        lines.append(
-            f"  {r.claim.value} {r.instance} lhs={rat_str(r.lhs)} rhs={rat_str(r.rhs)} {r.verdict}"
-        )
-    return "\n".join(lines) + "\n"
+    return _to_str("text", report)
 
 
-_FORMATTERS = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
+def stream_report(report: VerificationReport, format: str, out: TextIO) -> None:
+    """Write the report to the text stream out, one chunk of records at a time."""
+    _writer(format)(report, out)
 
 
 def write_report(report: VerificationReport, format: str, path: str) -> None:
-    """Serialize the report to path; JSON is the canonical machine format."""
-    if format not in _FORMATTERS:
-        raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
-    payload = _FORMATTERS[format](report)
+    """Stream the report to path; JSON is the canonical machine format."""
+    writer = _writer(format)
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(payload)
+            writer(report, fh)
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
