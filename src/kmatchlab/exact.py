@@ -28,16 +28,12 @@ def falling_factorial(s: int, k: int) -> int:
 def rat_str(x: Fraction | int) -> str:
     """Serialize exactly: "num/den", or just "num" when the value is integral.
 
-    An int or a Fraction is written as it is; anything else goes through
-    Fraction(x) first, so "3/6" gives "1/2".
+    An int or a Fraction is written by its own str, which has this form;
+    anything else goes through Fraction(x) first, so "3/6" gives "1/2".
     """
-    if type(x) is int:
-        return str(x)
-    if type(x) is not Fraction:
+    if type(x) is not int and type(x) is not Fraction:
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x)
 
 
 def rat_from_str(text: str) -> Fraction:

@@ -34,7 +34,6 @@ report on a text stream one chunk of records at a time.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import random
@@ -45,7 +44,7 @@ from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from ._version import __version__
 from .coeffs import compute_f, compute_gprime
@@ -72,8 +71,7 @@ class ClaimId(Enum):
     END_TO_END = "END_TO_END"
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """One compared instance, keyed head/variant, or head alone if variant is ""."""
 
     claim: ClaimId
@@ -122,9 +120,8 @@ def _rec(claim: ClaimId, head: str, lhs, rhs, variant: str = "") -> Verification
 
 
 def _canonical(records: list[VerificationRecord]) -> list[VerificationRecord]:
-    """records in (claim.value, instance) order, sorted only if they are not
-    already.  Within one claim no head is a proper prefix of another, so
-    (head, variant) orders the instances the same way without building them."""
+    """records in (claim.value, instance) order, sorted only if they are not yet.
+    No head is a proper prefix of another in its claim, so (head, variant) is that order."""
 
     def in_order(a: VerificationRecord, b: VerificationRecord) -> bool:
         if a.claim is b.claim:
@@ -271,7 +268,6 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
     evaluated once per (graph, k, v); a _DEGREES side once per (sorted degrees,
     k, v) over the whole walk.  Records come out in canonical order.
     """
-    sides = ((0, lhs, lhs_reads), (1, rhs, rhs_reads))
     reads = max(lhs_reads, rhs_reads)
 
     def walk(claim, budget, matrix):
@@ -282,6 +278,13 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
         else:
             rows = [(f"gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in matrix]
         rows.sort(key=itemgetter(0))
+        # per side, the distinct v it reads; per row, the position of its own v
+        sides, picks = [], []
+        for side, level in ((lhs, lhs_reads), (rhs, rhs_reads)):
+            vs = list(dict.fromkeys(v[level] for _, v in rows))
+            sides.append((side, level == _DEGREES, vs))
+            picks.append([vs.index(v[level]) for _, v in rows])
+        plan = list(zip([variant for variant, _ in rows], *picks))
         shared: dict = {}
         recs = []
         for n in range(1, budget.n_max + 1):
@@ -292,19 +295,16 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
                 block = []
                 for k in range(1, budget.k_max + 1):
                     head = f"n={n:02d}/g={g6}/k={k:02d}"
-                    own: dict = {}
-                    for variant, variants in rows:
-                        values = []
-                        for i, side, level in sides:
-                            v = variants[level]
-                            memo, key = (shared, (i, degrees, k, v)) if level == _DEGREES else (own, (i, v))
-                            if key not in memo:
-                                memo[key] = side(g, k, v)
-                            values.append(memo[key])
-                        block.append(_rec(claim, head, *values, variant))
+                    values = []
+                    for i, (side, by_degrees, vs) in enumerate(sides):
+                        memo = shared if by_degrees else {}
+                        if (i, degrees, k) not in memo:
+                            memo[i, degrees, k] = [side(g, k, v) for v in vs]
+                        values.append(memo[i, degrees, k])
+                    lv, rv = values
+                    block.extend(_rec(claim, head, lv[li], rv[ri], variant) for variant, li, ri in plan)
                 blocks.append((g6, block))
-            blocks.sort(key=itemgetter(0))
-            recs.extend(r for _, block in blocks for r in block)
+            recs.extend(r for _, block in sorted(blocks, key=itemgetter(0)) for r in block)
         return recs
 
     return walk
@@ -404,24 +404,21 @@ def build_report(
     records: Iterable[VerificationRecord],
     options_matrix: Iterable[FastCountOptions] = (),
 ) -> VerificationReport:
-    """Put records in canonical order and tally summaries and first
-    counterexamples, per claim and per variant."""
+    """Put records in canonical order; tally them per claim and per variant."""
     recs = _canonical(list(records))
     summary, options_summary, first_cx, claim = {}, {}, {}, None
     for r in recs:
         if r.claim is not claim:
             claim, name = r.claim, r.claim.value
             tally = summary.setdefault(name, {"match": 0, "mismatch": 0})
-        verdict = r.verdict
-        tally[verdict] += 1
-        if verdict == "mismatch" and name not in first_cx:
+        tally[r.verdict] += 1
+        if r.verdict == "mismatch" and name not in first_cx:
             first_cx[name] = r.instance
         if r.variant:
-            ot = options_summary.get(r.variant)
-            if ot is None:
-                ot = options_summary[r.variant] = {"match": 0, "mismatch": 0, "first_counterexample": None}
-            ot[verdict] += 1
-            if verdict == "mismatch" and ot["first_counterexample"] is None:
+            ot = options_summary.get(r.variant) or options_summary.setdefault(
+                r.variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+            ot[r.verdict] += 1
+            if r.verdict == "mismatch" and ot["first_counterexample"] is None:
                 ot["first_counterexample"] = r.instance
     return VerificationReport(__version__, tuple(options_matrix), recs, summary, options_summary, first_cx)
 
@@ -443,11 +440,6 @@ def report_from_json(text: str) -> VerificationReport:
 _CHUNK = 2048
 
 
-def _chunks(records: list[VerificationRecord]):
-    for i in range(0, len(records), _CHUNK):
-        yield records[i:i + _CHUNK]
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -457,19 +449,27 @@ def _write_json(report: VerificationReport, out: TextIO) -> None:
     matrix = [{"gmode": o.gmode, "index_convention": o.index_convention} for o in report.options_matrix]
     out.write(f'{{"first_counterexample":{_dumps(report.first_counterexample)},"options_matrix":'
               f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
-    for i, chunk in enumerate(_chunks(report.records)):
-        out.write("," * (i > 0) + ",".join(
-            f'{{"claim":{_quote(r.claim.value)},"instance":{_quote(r.instance)},"lhs":"{rat_str(r.lhs)}",'
-            f'"rhs":"{rat_str(r.rhs)}","verdict":{_quote(r.verdict)}}}' for r in chunk))
+    claim, recs = None, report.records
+    for i in range(0, len(recs), _CHUNK):
+        rows = []
+        for r in recs[i:i + _CHUNK]:
+            if r.claim is not claim:  # one .value per run of a claim, not per record
+                claim, name = r.claim, _quote(r.claim.value)
+            rows.append(f'{{"claim":{name},"instance":{_quote(r.instance)},"lhs":"{rat_str(r.lhs)}",'
+                        f'"rhs":"{rat_str(r.rhs)}","verdict":{_quote(r.verdict)}}}')
+        out.write("," * (i > 0) + ",".join(rows))
     out.write(f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n')
 
 
 def _write_csv(report: VerificationReport, out: TextIO) -> None:
+    import csv
+
     out.write("claim,instance,lhs,rhs,verdict\n")
-    for chunk in _chunks(report.records):
+    recs = report.records
+    for i in range(0, len(recs), _CHUNK):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
-            (r.claim.value, r.instance, rat_str(r.lhs), rat_str(r.rhs), r.verdict) for r in chunk)
+            (r.claim.value, r.instance, rat_str(r.lhs), rat_str(r.rhs), r.verdict) for r in recs[i:i + _CHUNK])
         out.write(buf.getvalue())
 
 
@@ -488,9 +488,9 @@ def _write_text(report: VerificationReport, out: TextIO) -> None:
         lines.append(f"  [{okey}]: {t['match']} match, {t['mismatch']} mismatch{cx}")
     lines.append("records:")
     out.write("\n".join(lines) + "\n")
-    for chunk in _chunks(report.records):
+    for i in range(0, len(report.records), _CHUNK):
         out.write("".join(f"  {r.claim.value} {r.instance} lhs={rat_str(r.lhs)} rhs={rat_str(r.rhs)} "
-                          f"{r.verdict}\n" for r in chunk))
+                          f"{r.verdict}\n" for r in report.records[i:i + _CHUNK]))
 
 
 _WRITERS = {"json": _write_json, "csv": _write_csv, "text": _write_text}

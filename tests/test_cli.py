@@ -116,6 +116,14 @@ def test_search_stdout(capsys):
     assert len(rep.records) == 88
 
 
+def test_search_stdout_bytes_equal_file_bytes(tmp_path, capsys):
+    # 13,188 records: several chunks, streamed to stdout and to a file
+    out = tmp_path / "search.json"
+    assert main(["search", "--nmax", "5", "--kmax", "3", "--out", str(out)]) == 0
+    assert main(["search", "--nmax", "5", "--kmax", "3"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="ascii")
+
+
 def test_graph_file_edge_list(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("3 2\n1 2\n2 3\n")
@@ -182,6 +190,20 @@ def test_broken_pipe_exits_1():
     # writing the rest must reach the BrokenPipeError handler.
     proc = subprocess.run(
         ["bash", "-c", script], capture_output=True, text=True, timeout=120,
+        env={**env, "PYTHONUNBUFFERED": "1"},
+    )
+    assert proc.stdout.strip() == "1"
+    assert "Traceback" not in proc.stderr
+
+    # The search report (about 1.6 MB) goes to stdout a chunk of records at a
+    # time; a write after `head` has gone must reach the same handler.
+    search = (
+        f"{shlex.quote(sys.executable)} -m kmatchlab.cli search --nmax 5 --kmax 3"
+        " | head -c 10 >/dev/null; "
+        'echo "${PIPESTATUS[0]}"'
+    )
+    proc = subprocess.run(
+        ["bash", "-c", search], capture_output=True, text=True, timeout=120,
         env={**env, "PYTHONUNBUFFERED": "1"},
     )
     assert proc.stdout.strip() == "1"

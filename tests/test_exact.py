@@ -35,6 +35,21 @@ def test_rat_str_forms():
     assert rat_str(Fraction(0)) == "0"
 
 
+def _rat_str_via_fraction(x):
+    # rat_str as it was before ints and Fractions skipped the conversion
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+@pytest.mark.parametrize("x", [
+    0, 7, -7, 10**30, -(10**30), True,
+    Fraction(6, 3), Fraction(-4, 2), Fraction(0), Fraction(5, 4), Fraction(-5, 4), Fraction(10**20, 3),
+    "3/6", "-8/4", "12",
+])
+def test_rat_str_fast_path_matches_fraction_path(x):
+    assert rat_str(x) == _rat_str_via_fraction(x)
+
+
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
 def test_rat_round_trip(num, den):
     x = Fraction(num, den)

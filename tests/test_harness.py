@@ -6,6 +6,7 @@ records they summarize.
 """
 
 import hashlib
+import io
 import re
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from kmatchlab.harness import (
     report_to_csv,
     report_to_json,
     report_to_text,
+    stream_report,
     verify_claim,
     write_report,
 )
@@ -231,6 +233,53 @@ def test_json_round_trip_preserves_everything():
     back = report_from_json(report_to_json(rep))
     assert back == rep
     assert report_to_json(back) == report_to_json(rep)
+
+
+def test_json_round_trip_across_claims(verify_all_report):
+    # LEMMA2's seed=/x= heads, LEMMA4's gmode-only variants, THM4's pi= heads
+    # and the graph claims' gmode/index variants in one report
+    rep = verify_all_report
+    shapes = {(r.claim, r.variant.count("=")) for r in rep.records}
+    assert {(ClaimId.LEMMA2, 0), (ClaimId.LEMMA4, 1), (ClaimId.END_TO_END, 2)} <= shapes
+    assert any("/seed=" in r.instance for r in rep.records if r.claim == ClaimId.LEMMA2)
+    back = report_from_json(report_to_json(rep))
+    assert back == rep
+    assert [r.instance for r in back.records] == [r.instance for r in rep.records]
+
+
+@pytest.mark.parametrize("format, formatter", [
+    ("json", report_to_json), ("csv", report_to_csv), ("text", report_to_text),
+])
+def test_every_sink_gets_the_formatter_bytes(verify_all_report, tmp_path, format, formatter):
+    # the report spans several chunks of records; a file, a stream and the
+    # string wrapper are three sinks of one writer
+    want = formatter(verify_all_report)
+    assert len(verify_all_report.records) > 2 * harness._CHUNK
+    path = tmp_path / f"rep.{format}"
+    write_report(verify_all_report, format, str(path))
+    assert path.read_bytes() == want.encode("ascii")
+    buf = io.StringIO()
+    stream_report(verify_all_report, format, buf)
+    assert buf.getvalue() == want
+    with pytest.raises(ValueError):
+        stream_report(verify_all_report, "yaml", buf)
+
+
+def test_build_report_sorts_records_out_of_order():
+    recs = verify_claim(ClaimId.THM2_VS_THM1, Budget(n_max=3, k_max=2))
+    recs += verify_claim(ClaimId.LEMMA4, Budget(n_max=2, k_max=3))
+    rep = build_report(recs[::-1], OPTIONS_MATRIX)
+    in_string_order = sorted(recs, key=lambda r: (r.claim.value, r.instance))
+    assert rep.records == in_string_order
+    assert report_to_json(rep) == report_to_json(build_report(in_string_order, OPTIONS_MATRIX))
+
+
+def test_records_carry_head_and_variant():
+    rec = discrepancy_search(2, 1).records[0]
+    assert (rec.head, rec.variant) == ("n=01/g=@/k=01", "gmode=corrected/index=corrected")
+    assert rec.instance == "n=01/g=@/k=01/gmode=corrected/index=corrected"
+    assert type(rec.rhs) is int  # as count_k_matchings returns it, not wrapped
+    assert VerificationRecord(ClaimId.LEMMA2, "x", 1, 1, "match").instance == "x"
 
 
 def test_json_is_canonical():
