@@ -5,6 +5,7 @@ included), 2 means an operational failure, 1 is reserved for a consumer
 closing the pipe early.
 """
 
+import hashlib
 import json
 import os
 import shlex
@@ -70,6 +71,52 @@ def test_coeffs_f_json(capsys):
     assert obj["f"]["{1,2|3}"] == "-1"
     assert obj["f"]["{1|2|3}"] == "1"
     assert len(obj["f"]) == 5
+
+
+# SHA-256 of `kmatch coeffs` stdout: --what g --gmode MODE --k K for K <= 12,
+# and --what f --k K for K <= 7; refactors of the tables must leave them as they are
+COEFFS_DIGESTS = {
+    ("g", "paper", 1): "362b70d484bf6059914073093b89c29a6e9a0daab8cd96ead963d6eba5957b4b",
+    ("g", "paper", 2): "ceb798cfc8d049d27beb16f3a6104825c41905c1f1a6933da842bbd3b085a5bd",
+    ("g", "paper", 3): "4851769dfd2596935340fa4026c45b80970432bb8a55b38100b510b040c0f71b",
+    ("g", "paper", 4): "1967789bbb99e774af516c79d1e16867e226ec4da76373a41f0a86af1e1a700f",
+    ("g", "paper", 5): "48105163eac7f20e3bf7b5dd2b3dde805e63ca77e572bec2fbf70b6a6f9dfbab",
+    ("g", "paper", 6): "f487db3a1280e6ffaf45825a89e12f19e5b8c32f4bf0084d798e06d36081c2ed",
+    ("g", "paper", 7): "3346f8af3aa4231216413c7257e4d83f25f70d745de6816a61d75991ee6986d7",
+    ("g", "paper", 8): "4435540f9dab753de6b72f380dc717d084edd39ad8aa43a37683d4d32cadc926",
+    ("g", "paper", 9): "824e6165f3fd93eee0d2eb003752d83571a85c2d54511826e2a53b69540f0e2a",
+    ("g", "paper", 10): "038ab9e70eefcf6e0ca47c16d27d850cbb7c59f9181cc1df7bb3bac9fd00f6d5",
+    ("g", "paper", 11): "251903e77a9a0d7faf38ad180df1e12eef70c2ce18b417f1ba0af921dd78381f",
+    ("g", "paper", 12): "e87a4fcba08f275d0b3a87ab57874eb9244105d3930f2f3c70ef1a8ab4f97881",
+    ("g", "corrected", 1): "abe0240d3f09ac7b97778f2b5fb55467d117e0b3dc840462fffae243d31da219",
+    ("g", "corrected", 2): "c2fd2f6197ea30106db4ce8c182154876c0ecb6eb2821a0caff22deb47921569",
+    ("g", "corrected", 3): "fa3498d6b45d2bdce4dc769424a9e05217fc837256988b76bef5fab3d8fb5dcc",
+    ("g", "corrected", 4): "87ee7c25c3cc8c545de447e66527e6575975539f138f076073c023ae3f2fc9bb",
+    ("g", "corrected", 5): "9794491c66deb5f36f7123a48b152ea04ae5c4158275f057aae59a2837f1dfd4",
+    ("g", "corrected", 6): "7b9d900930ee51f12b717ecf70b09d531528b565788c62655ba95b7840fb7770",
+    ("g", "corrected", 7): "87477f31afea12013a82e14e036bd58caee115809f43f3af7830c1b01e81e40c",
+    ("g", "corrected", 8): "c688616b23dc7b58b93ebb68d384317e15d5bfc7b8a86295e31c10ef29b9d44f",
+    ("g", "corrected", 9): "9105a34dc15ea996cfdba8d88c52255e91a68f51bca1c14068f4e295d333c1e9",
+    ("g", "corrected", 10): "ab1a2840b18cfb11e6bf346983ee0577b98073fbeeec68f58ec954ae43ec9901",
+    ("g", "corrected", 11): "bfdb3aa0c9e38d3fc53665d88f1248479de2882bef45c931c4897c82c8374776",
+    ("g", "corrected", 12): "f76fa9a2e20f3807770aeef7d95c9d7f0c8814c0914bfc2d1ee1f4786116795b",
+    ("f", None, 1): "bb0d721163347f721a326bc283858e78a99ef7887a3deee2d228f5811bdc24c1",
+    ("f", None, 2): "253f683f32a4df197e7132fff53d0c96e6333fdc3ee8b6f15764884b6b724700",
+    ("f", None, 3): "c85d1adfd14a534996e42cc6c7af755221d92f40cd1632fb5414234bf7674134",
+    ("f", None, 4): "89caf9ffd09ee5c17bc4628bb70c77106ca17ce26faf09660b949b247f74b152",
+    ("f", None, 5): "b6ac1fc2be6c60535d7bc3541e2db533d6d4106d86abb1eef671b03fe6bdf147",
+    ("f", None, 6): "c56a28fb18ca8d3a58c79f46b7e5587a3379082ec282662a89e692e3ffb6d09d",
+    ("f", None, 7): "cc38d7d314cf0a5c8c542b9d0e5f1010832eed801dab2f42739e23503e2fc9b9",
+}
+
+
+@pytest.mark.parametrize("what, mode, k", COEFFS_DIGESTS,
+                         ids=["-".join(str(v) for v in key if v) for key in COEFFS_DIGESTS])
+def test_coeffs_golden_digest(capsys, what, mode, k):
+    argv = ["coeffs", "--what", what, "--k", str(k)] + (["--gmode", mode] if mode else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == COEFFS_DIGESTS[what, mode, k]
 
 
 def test_verify_stdout_json(capsys):
