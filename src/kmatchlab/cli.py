@@ -26,11 +26,11 @@ from .fastcount import FastCountOptions, fast_count
 from .graph import Graph, generate, parse_edge_list_text, parse_graph6
 from .harness import (
     OPTIONS_MATRIX,
+    REPORT_FORMATS,
     Budget,
     ClaimId,
     build_report,
     discrepancy_search,
-    stream_report,
     verify_claim,
     write_report,
 )
@@ -40,7 +40,6 @@ from .oracle import (
     count_rook_placements,
     lemma1_sum,
 )
-from .partitions import enumerate_partitions
 
 
 def _load_graph(spec: str) -> Graph:
@@ -98,11 +97,17 @@ class _Stdout:
 
 
 def _emit_report(report, format: str, path: str | None) -> None:
-    """Stream the report to path, or to stdout when no path is given."""
-    if path:
-        write_report(report, format, path)
-    else:
-        stream_report(report, format, _Stdout())
+    """Write the report to path, or to stdout when no path is given."""
+    if not path:
+        write_report(report, format, _Stdout())
+        return
+    if format not in REPORT_FORMATS:  # before the file is made
+        raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            write_report(report, format, fh)
+    except OSError as exc:
+        raise OSError(f"failed writing report to {path}: {exc}") from exc
 
 
 def _emit_json(obj) -> None:
@@ -144,22 +149,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     if args.what == "g":
-        tab = compute_gprime(args.k, args.gmode)
-        _emit_json(
-            {
-                "k": tab.k,
-                "mode": tab.mode,
-                "g": {str(l): str(v) for l, v in sorted(tab.values.items())},
-            }
-        )
+        row = compute_gprime(args.k, args.gmode)
+        _emit_json({"k": args.k, "mode": args.gmode, "g": {str(l): str(v) for l, v in row.items()}})
     else:
-        ftab = compute_f(args.k)
-        _emit_json(
-            {
-                "m": args.k,
-                "f": {str(pi): str(ftab[pi]) for pi in enumerate_partitions(args.k)},
-            }
-        )
+        _emit_json({"m": args.k, "f": {str(pi): str(v) for pi, v in compute_f(args.k).items()}})
     return 0
 
 
@@ -220,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive fast-vs-oracle discrepancy search")

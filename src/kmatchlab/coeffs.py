@@ -1,24 +1,26 @@
 """Integer coefficient tables used by the fast counting formula.
 
-Three tables are produced here:
+Each table is one read-only mapping per level, built once by its defining
+recursion, cached, and returned as the cached mapping itself:
 
-* ``g'`` - a triangular table g'_k(l) for 1 <= l <= k, defined by a
-  first-order recursion in k.  The k=2 base row is contested, so both
-  variants are first-class: mode ``"paper"`` seeds (g'(1), g'(2)) = (1, 1)
-  verbatim, mode ``"corrected"`` seeds (-1, 1).  In corrected mode the row
-  k equals the coefficient vector of the falling factorial
-  s(s-1)...(s-k+1) expanded in powers of s.
+* ``compute_gprime(k, mode)`` - row k of the g' table, l -> g'_k(l) for
+  1 <= l <= k, defined by a first-order recursion in k.  The k=2 base row
+  is contested, so both variants are first-class: mode ``"paper"`` seeds
+  (g'(1), g'(2)) = (1, 1) verbatim, mode ``"corrected"`` seeds (-1, 1).  In
+  corrected mode row k equals the coefficient vector of the falling
+  factorial s(s-1)...(s-k+1) expanded in powers of s.
 
-* ``f`` - an integer weight per set partition, defined by deleting the
-  largest element: a singleton block {m} is dropped at no cost, while
-  removing m from a larger block B multiplies by -(|B|-1).  The set-level
-  table (one entry per partition of {1..m}, B_m of them) serves the literal
-  referees and ``kmatch coeffs --what f``.
+* ``compute_f(m)`` - an integer weight per set partition of {1..m}, in
+  ``enumerate_partitions`` order, defined by deleting the largest element:
+  a singleton block {m} is dropped at no cost, while removing m from a
+  larger block B multiplies by -(|B|-1).  Level m has B_m entries and
+  serves the literal referees and ``kmatch coeffs --what f``; it is bounded
+  by ``partitions.MAX_ENUM_M``, checked before any level is built.
 
-* ``F`` - the f table aggregated to block-size types: F(lam) is the sum of
-  f over the set partitions of {1..m} whose block sizes form lam.  It comes
-  from the same deletion rule lifted to types, so level m holds only the
-  p(m) integer partitions of m; this is the table the fast formula uses.
+* ``compute_f_types(m)`` - F on the integer partitions of m: F(lam) is the
+  sum of f over the set partitions of {1..m} whose block sizes form lam.
+  It comes from the same deletion rule lifted to types, so level m holds
+  only p(m) entries; this is the table the fast formula uses.
 
 All recursions are evaluated verbatim; closed forms are only used as
 cross-checks in the test suite, never as the source of values.
@@ -26,108 +28,70 @@ cross-checks in the test suite, never as the source of values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CapacityError
-from .partitions import SetPartition, enumerate_partitions
-
-MAX_F_M = 12  # partition enumeration bound of the set-level f table
+from .partitions import MAX_ENUM_M, SetPartition, enumerate_partitions
 
 GMODES = ("paper", "corrected")
 
-
-@dataclass(frozen=True)
-class GPrimeTable:
-    """Row k of the g' table: values[l] = g'_k(l) for l = 1..k."""
-
-    k: int
-    mode: str
-    values: dict[int, int] = field(hash=False)
-
-    def __getitem__(self, l: int) -> int:
-        return self.values[l]
+_GPRIME_ROWS: dict[tuple[int, str], Mapping[int, int]] = {}
 
 
-@dataclass(frozen=True)
-class FTable:
-    """f weights for every partition of {1..m}, all m = 1..m_max."""
-
-    m_max: int
-    values: Mapping[SetPartition, int] = field(hash=False)
-
-    def __getitem__(self, pi: SetPartition) -> int:
-        return self.values[pi]
-
-
-_GPRIME_CACHE: dict[tuple[int, str], dict[int, int]] = {}
-
-
-def compute_gprime(k: int, mode: str = "corrected") -> GPrimeTable:
-    """Row k of the g' recursion under the chosen base convention."""
+def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
+    """Row k of the g' recursion under the chosen base convention, read-only."""
     if mode not in GMODES:
         raise ValueError(f"unknown gmode {mode!r}, expected one of {GMODES}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     key = (k, mode)
-    if key not in _GPRIME_CACHE:
+    if key not in _GPRIME_ROWS:
         if k == 1:
             row = {1: 1}
         elif k == 2:
             row = {1: 1, 2: 1} if mode == "paper" else {1: -1, 2: 1}
         else:
-            prev = compute_gprime(k - 1, mode).values
-            row = {k: prev[k - 1], 1: -(k - 1) * prev[1]}
+            prev = compute_gprime(k - 1, mode)
+            row = {1: -(k - 1) * prev[1]}
             for l in range(2, k):
                 row[l] = prev[l - 1] - (k - 1) * prev[l]
-        _GPRIME_CACHE[key] = row
-    return GPrimeTable(k, mode, dict(_GPRIME_CACHE[key]))
+            row[k] = prev[k - 1]
+        _GPRIME_ROWS[key] = MappingProxyType(row)
+    return _GPRIME_ROWS[key]
 
 
-# level m holds the partitions of exactly {1..m}; level m depends only on
-# level m-1, and finished tables are kept as read-only views so repeated
-# compute_f calls cost a dict lookup, not a rebuild
-_F_LEVELS: dict[int, dict[SetPartition, int]] = {1: {SetPartition(((1,),)): 1}}
-_F_TABLES: dict[int, FTable] = {}
+# level m holds the partitions of exactly {1..m} and depends only on level
+# m-1; each level is stored read-only and returned as it is, never copied
+_F_LEVELS: dict[int, Mapping[SetPartition, int]] = {1: MappingProxyType({SetPartition(((1,),)): 1})}
 
 
-def _f_value(pi: SetPartition, prev: dict[SetPartition, int]) -> int:
-    m = pi.m
+def _f_value(pi: SetPartition, m: int, prev: Mapping[SetPartition, int]) -> int:
     for bi, b in enumerate(pi.blocks):
         if b[-1] == m:
             break
-    rest = pi.blocks[:bi] + pi.blocks[bi + 1 :]
+    # m is the largest element: dropping it empties a singleton {m} and
+    # changes no other block's minimum, so the result is already canonical
     if len(b) == 1:
-        reduced = SetPartition(rest)
-        return prev[reduced]
-    shrunk = b[:-1]
-    # reinsert the shrunk block at its min-ordered position
-    reduced = SetPartition.from_blocks(rest + (shrunk,))
-    return -(len(b) - 1) * prev[reduced]
+        return prev[SetPartition(pi.blocks[:bi] + pi.blocks[bi + 1 :])]
+    return -(len(b) - 1) * prev[SetPartition(pi.blocks[:bi] + (b[:-1],) + pi.blocks[bi + 1 :])]
 
 
-def compute_f(m_max: int) -> FTable:
-    """f values for every partition of every ground set up to size m_max."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
-    if m_max > MAX_F_M:
-        raise CapacityError(f"f table for m_max={m_max} exceeds partition bound {MAX_F_M}")
-    if m_max in _F_TABLES:
-        return _F_TABLES[m_max]
-    for m in range(max(_F_LEVELS) + 1, m_max + 1):
-        prev = _F_LEVELS[m - 1]
-        _F_LEVELS[m] = {pi: _f_value(pi, prev) for pi in enumerate_partitions(m)}
-    merged: dict[SetPartition, int] = {}
-    for m in range(1, m_max + 1):
-        merged.update(_F_LEVELS[m])
-    _F_TABLES[m_max] = FTable(m_max, MappingProxyType(merged))
-    return _F_TABLES[m_max]
+def compute_f(m: int) -> Mapping[SetPartition, int]:
+    """f(pi) for every partition pi of {1..m}, in enumeration order, read-only."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if m > MAX_ENUM_M:
+        raise CapacityError(f"f table for m={m} exceeds partition bound {MAX_ENUM_M}")
+    for level in range(max(_F_LEVELS) + 1, m + 1):
+        prev = _F_LEVELS[level - 1]
+        _F_LEVELS[level] = MappingProxyType({pi: _f_value(pi, level, prev) for pi in enumerate_partitions(level)})
+    return _F_LEVELS[m]
 
 
 # level m maps each block-size type of {1..m} (parts in non-increasing
 # order) to F(type); like _F_LEVELS, level m depends only on level m-1
-_F_TYPE_LEVELS: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
+_F_TYPE_LEVELS: dict[int, Mapping[tuple[int, ...], int]] = {0: MappingProxyType({(): 1})}
 
 
 def compute_f_types(m: int) -> Mapping[tuple[int, ...], int]:
@@ -157,5 +121,5 @@ def compute_f_types(m: int) -> Mapping[tuple[int, ...], int]:
                 # first c keeps the parts non-increasing
                 lam = mu[:i] + (c + 1,) + mu[i + 1 :]
                 nxt[lam] = nxt.get(lam, 0) - c * mu.count(c) * fv
-        _F_TYPE_LEVELS[level] = nxt
-    return MappingProxyType(_F_TYPE_LEVELS[m])
+        _F_TYPE_LEVELS[level] = MappingProxyType(nxt)
+    return _F_TYPE_LEVELS[m]

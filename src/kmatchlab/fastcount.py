@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 from .coeffs import GMODES, compute_f, compute_f_types, compute_gprime
 from .errors import CapacityError
 from .graph import Graph, degree_vector
-from .partitions import SetPartition, enumerate_partitions
+from .partitions import SetPartition
 
 INDEX_CONVENTIONS = ("paper", "corrected")
 
@@ -136,17 +136,12 @@ def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fr
         return Fraction(0)
     adj = g.adj
     gp = compute_gprime(k, options.gmode)
-    ftab = compute_f(k)
     total = 0
     for l in range(1, k + 1):
         m = k if options.index_convention == "paper" else l
         parts = [
-            (
-                ftab[pi],
-                len(pi.blocks),
-                [(i - 1, h) for h, b in enumerate(pi.blocks) for i in b],
-            )
-            for pi in enumerate_partitions(m)
+            (fv, len(pi.blocks), [(i - 1, h) for h, b in enumerate(pi.blocks) for i in b])
+            for pi, fv in compute_f(m).items()
         ]
         s_l = 0
         for jt in product(range(n), repeat=m):

@@ -103,7 +103,9 @@ class Budget:
     n_max: int | None = None
     k_max: int | None = None
     seed: int = 0
-    trials: int = 20
+
+
+TRIALS = 20  # seeded random instances per n (LEMMA2) and per (m, n) (LEMMA6)
 
 
 # full convention matrix, alphabetical, the default everywhere
@@ -164,7 +166,7 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
         recs = []
         for n in range(1, budget.n_max + 1):
             xs = [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
-            for t in range(budget.trials if random_trials else 0):
+            for t in range(TRIALS if random_trials else 0):
                 rng = random.Random(f"L2:{budget.seed}:{n}:{t}")
                 x = tuple(rng.randint(-3, 3) for _ in range(n))
                 xs.append((f"n={n:02d}/seed={budget.seed:03d}/trial={t:02d}/x={_vec(x)}", x))
@@ -199,12 +201,11 @@ def _records_lemma4(claim, budget, matrix):
     return recs
 
 
-def _lemma6_rhs(X, m, ftab) -> int:
+def _lemma6_rhs(X, ftab) -> int:
     n = len(X[0])
     total = 0
-    for pi in enumerate_partitions(m):
+    for pi, val in ftab.items():
         # the j-tuple sum splits into one independent factor per block
-        val = ftab[pi]
         for b in pi.blocks:
             val *= sum(prod(X[i - 1][j] for i in b) for j in range(n))
         total += val
@@ -213,15 +214,15 @@ def _lemma6_rhs(X, m, ftab) -> int:
 
 def _records_lemma6(claim, budget, matrix):
     recs = []
-    seed, m_max = budget.seed, budget.k_max
-    ftab = compute_f(m_max)
-    for m in range(2, m_max + 1):
+    seed = budget.seed
+    for m in range(2, budget.k_max + 1):
+        ftab = compute_f(m)
         for n in range(m, budget.n_max + 1):
-            for t in range(budget.trials):
+            for t in range(TRIALS):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
                 X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
                 inst = f"m={m:02d}/n={n:02d}/seed={seed:03d}/trial={t:02d}/X={_mat(X)}"
-                recs.append(_rec(claim, inst, injection_sum(X, m), _lemma6_rhs(X, m, ftab)))
+                recs.append(_rec(claim, inst, injection_sum(X, m), _lemma6_rhs(X, ftab)))
     return recs
 
 
@@ -377,11 +378,7 @@ def verify_claim(
 
 # -- discrepancy search ------------------------------------------------------
 
-def discrepancy_search(
-    n_max: int,
-    k_max: int,
-    options_matrix: Iterable[FastCountOptions] | None = None,
-) -> VerificationReport:
+def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
     """fast_count vs oracle on every labeled graph up to n_max, every k, every combo.
 
     Emits one END_TO_END record per (graph, k, options) triple, from the
@@ -393,9 +390,8 @@ def discrepancy_search(
         raise ValueError(f"bounds must be positive, got n_max={n_max}, k_max={k_max}")
     if n_max > 6 or k_max > 3:
         raise CapacityError(f"search refused: n_max={n_max}, k_max={k_max} (limits 6, 3)")
-    matrix = tuple(options_matrix) if options_matrix is not None else OPTIONS_MATRIX
     claim = ClaimId.END_TO_END
-    return build_report(_SPECS[claim].walk(claim, Budget(n_max, k_max), matrix), matrix)
+    return build_report(_SPECS[claim].walk(claim, Budget(n_max, k_max), OPTIONS_MATRIX), OPTIONS_MATRIX)
 
 
 # -- report assembly and serialization ---------------------------------------
@@ -494,42 +490,17 @@ def _write_text(report: VerificationReport, out: TextIO) -> None:
 
 
 _WRITERS = {"json": _write_json, "csv": _write_csv, "text": _write_text}
+REPORT_FORMATS = tuple(_WRITERS)
 
 
-def _writer(format: str) -> Callable[[VerificationReport, TextIO], None]:
+def write_report(report: VerificationReport, format: str, out: TextIO) -> None:
+    """Write the report to the text stream out; JSON is the canonical machine format."""
     if format not in _WRITERS:
         raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
-    return _WRITERS[format]
-
-
-def _to_str(format: str, report: VerificationReport) -> str:
-    buf = io.StringIO()
-    _WRITERS[format](report, buf)
-    return buf.getvalue()
+    _WRITERS[format](report, out)
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return _to_str("json", report)
-
-
-def report_to_csv(report: VerificationReport) -> str:
-    return _to_str("csv", report)
-
-
-def report_to_text(report: VerificationReport) -> str:
-    return _to_str("text", report)
-
-
-def stream_report(report: VerificationReport, format: str, out: TextIO) -> None:
-    """Write the report to the text stream out, one chunk of records at a time."""
-    _writer(format)(report, out)
-
-
-def write_report(report: VerificationReport, format: str, path: str) -> None:
-    """Stream the report to path; JSON is the canonical machine format."""
-    writer = _writer(format)
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            writer(report, fh)
-    except OSError as exc:
-        raise OSError(f"failed writing report to {path}: {exc}") from exc
+    buf = io.StringIO()
+    _write_json(report, buf)
+    return buf.getvalue()

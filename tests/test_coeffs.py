@@ -16,11 +16,12 @@ from math import factorial, prod
 
 import pytest
 
-from kmatchlab.coeffs import FTable, compute_f, compute_f_types, compute_gprime
+from kmatchlab import coeffs
+from kmatchlab.coeffs import compute_f, compute_f_types, compute_gprime
 from kmatchlab.errors import CapacityError
 from kmatchlab.exact import falling_factorial
 from kmatchlab.oracle import injection_sum
-from kmatchlab.partitions import SetPartition, bell, enumerate_partitions
+from kmatchlab.partitions import MAX_ENUM_M, SetPartition, bell, enumerate_partitions
 
 
 def _falling_poly_coeffs(k):
@@ -39,17 +40,17 @@ def _falling_poly_coeffs(k):
 def test_corrected_gprime_equals_falling_poly(k):
     ref = _falling_poly_coeffs(k)
     tab = compute_gprime(k, "corrected")
-    assert tab.values == {l: ref[l] for l in range(1, k + 1)}
+    assert tab == {l: ref[l] for l in range(1, k + 1)}
     assert ref[0] == 0 or k == 0
 
 
 def test_gprime_frozen_rows():
-    assert compute_gprime(1, "paper").values == {1: 1}
-    assert compute_gprime(2, "paper").values == {1: 1, 2: 1}
-    assert compute_gprime(2, "corrected").values == {1: -1, 2: 1}
-    assert compute_gprime(3, "paper").values == {1: -2, 2: -1, 3: 1}
-    assert compute_gprime(3, "corrected").values == {1: 2, 2: -3, 3: 1}
-    assert compute_gprime(4, "corrected").values == {1: -6, 2: 11, 3: -6, 4: 1}
+    assert compute_gprime(1, "paper") == {1: 1}
+    assert compute_gprime(2, "paper") == {1: 1, 2: 1}
+    assert compute_gprime(2, "corrected") == {1: -1, 2: 1}
+    assert compute_gprime(3, "paper") == {1: -2, 2: -1, 3: 1}
+    assert compute_gprime(3, "corrected") == {1: 2, 2: -3, 3: 1}
+    assert compute_gprime(4, "corrected") == {1: -6, 2: 11, 3: -6, 4: 1}
 
 
 @pytest.mark.parametrize("mode", ["paper", "corrected"])
@@ -81,20 +82,24 @@ def test_gprime_bad_inputs():
 
 def test_gprime_cache_isolation():
     a = compute_gprime(3, "corrected")
-    a.values[1] = 999
-    assert compute_gprime(3, "corrected").values[1] == 2
+    with pytest.raises(TypeError):
+        a[1] = 999
+    assert compute_gprime(3, "corrected")[1] == 2
 
 
 def test_f_frozen_values():
-    f = compute_f(3)
-    assert f[SetPartition.from_blocks([[1]])] == 1
-    assert f[SetPartition.from_blocks([[1], [2]])] == 1
-    assert f[SetPartition.from_blocks([[1, 2]])] == -1
-    assert f[SetPartition.from_blocks([[1, 2, 3]])] == 2
-    assert f[SetPartition.from_blocks([[1, 2], [3]])] == -1
-    assert f[SetPartition.from_blocks([[1, 3], [2]])] == -1
-    assert f[SetPartition.from_blocks([[1], [2, 3]])] == -1
-    assert f[SetPartition.from_blocks([[1], [2], [3]])] == 1
+    def f(blocks):
+        pi = SetPartition.from_blocks(blocks)
+        return compute_f(pi.m)[pi]
+
+    assert f([[1]]) == 1
+    assert f([[1], [2]]) == 1
+    assert f([[1, 2]]) == -1
+    assert f([[1, 2, 3]]) == 2
+    assert f([[1, 2], [3]]) == -1
+    assert f([[1, 3], [2]]) == -1
+    assert f([[1], [2, 3]]) == -1
+    assert f([[1], [2], [3]]) == 1
 
 
 def _basis_eval(X, pi):
@@ -165,14 +170,33 @@ def test_f_identity_holds_at_larger_m(m, n):
 
 
 def test_f_table_scope_and_errors():
-    small = compute_f(2)
-    assert isinstance(small, FTable)
-    assert small.m_max == 2
-    assert {pi.m for pi in small.values} == {1, 2}
+    # one level per call: the partitions of exactly {1..m}, in enumeration order
+    assert list(compute_f(2)) == list(enumerate_partitions(2))
+    assert list(compute_f(4)) == list(enumerate_partitions(4))
+    assert compute_f(4) is compute_f(4)
     with pytest.raises(ValueError):
         compute_f(0)
     with pytest.raises(CapacityError):
-        compute_f(13)
+        compute_f(MAX_ENUM_M + 1)
+
+
+def test_f_guard_fires_before_any_level(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a level was built past the guard")
+
+    monkeypatch.setattr(coeffs, "enumerate_partitions", no_work)
+    with pytest.raises(CapacityError):
+        compute_f(MAX_ENUM_M + 1)
+
+
+def test_tables_are_read_only():
+    one_block = SetPartition.from_blocks([[1, 2]])
+    for table, key in [(compute_gprime(3, "paper"), 1), (compute_f(2), one_block), (compute_f_types(2), (2,))]:
+        with pytest.raises(TypeError):
+            table[key] = 0
+    assert compute_gprime(3, "paper")[1] == -2
+    assert compute_f(2)[one_block] == -1
+    assert compute_f_types(2)[(2,)] == -1
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmatchlab import harness
+from kmatchlab import cli, harness
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
 from kmatchlab.graph import parse_graph6
@@ -24,16 +24,27 @@ from kmatchlab.harness import (
     build_report,
     discrepancy_search,
     report_from_json,
-    report_to_csv,
     report_to_json,
-    report_to_text,
-    stream_report,
     verify_claim,
     write_report,
 )
 from kmatchlab.oracle import count_k_matchings
 
 CC = FastCountOptions("corrected", "corrected")
+
+
+def _written(report, format):
+    buf = io.StringIO()
+    write_report(report, format, buf)
+    return buf.getvalue()
+
+
+def report_to_csv(report):
+    return _written(report, "csv")
+
+
+def report_to_text(report):
+    return _written(report, "text")
 
 
 def _counts(records):
@@ -250,19 +261,16 @@ def test_json_round_trip_across_claims(verify_all_report):
 @pytest.mark.parametrize("format, formatter", [
     ("json", report_to_json), ("csv", report_to_csv), ("text", report_to_text),
 ])
-def test_every_sink_gets_the_formatter_bytes(verify_all_report, tmp_path, format, formatter):
-    # the report spans several chunks of records; a file, a stream and the
-    # string wrapper are three sinks of one writer
+def test_every_sink_gets_the_formatter_bytes(verify_all_report, tmp_path, capsys, format, formatter):
+    # the report spans several chunks of records; a string, the CLI's --out
+    # file and its stdout are three sinks of one writer
     want = formatter(verify_all_report)
     assert len(verify_all_report.records) > 2 * harness._CHUNK
     path = tmp_path / f"rep.{format}"
-    write_report(verify_all_report, format, str(path))
+    cli._emit_report(verify_all_report, format, str(path))
     assert path.read_bytes() == want.encode("ascii")
-    buf = io.StringIO()
-    stream_report(verify_all_report, format, buf)
-    assert buf.getvalue() == want
-    with pytest.raises(ValueError):
-        stream_report(verify_all_report, "yaml", buf)
+    cli._emit_report(verify_all_report, format, None)
+    assert capsys.readouterr().out == want
 
 
 def test_build_report_sorts_records_out_of_order():
@@ -308,13 +316,21 @@ def test_text_format_mentions_tallies():
 def test_write_report_and_bad_paths(tmp_path):
     recs = verify_claim(ClaimId.LEMMA3, Budget(n_max=2))
     rep = build_report(recs)
-    out = tmp_path / "rep.json"
-    write_report(rep, "json", str(out))
-    assert report_from_json(out.read_text()) == rep
+    buf = io.StringIO()
+    write_report(rep, "json", buf)
+    assert report_from_json(buf.getvalue()) == rep
+    buf = io.StringIO()
     with pytest.raises(ValueError):
-        write_report(rep, "yaml", str(out))
-    with pytest.raises(OSError):
-        write_report(rep, "json", str(tmp_path / "missing" / "rep.json"))
+        write_report(rep, "yaml", buf)
+    assert buf.getvalue() == ""
+    # the CLI opens --out itself: a bad format makes no file, a bad path
+    # names the path
+    out = tmp_path / "rep.yaml"
+    with pytest.raises(ValueError):
+        cli._emit_report(rep, "yaml", str(out))
+    assert not out.exists()
+    with pytest.raises(OSError, match="failed writing report to"):
+        cli._emit_report(rep, "json", str(tmp_path / "missing" / "rep.json"))
 
 
 def test_records_are_frozen_and_comparable():
