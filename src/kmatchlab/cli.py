@@ -40,6 +40,7 @@ from .oracle import (
     count_rook_placements,
     lemma1_sum,
 )
+from .partitions import partition_str
 
 
 def _load_graph(spec: str) -> Graph:
@@ -152,7 +153,7 @@ def _cmd_coeffs(args) -> int:
         row = compute_gprime(args.k, args.gmode)
         _emit_json({"k": args.k, "mode": args.gmode, "g": {str(l): str(v) for l, v in row.items()}})
     else:
-        _emit_json({"m": args.k, "f": {str(pi): str(v) for pi, v in compute_f(args.k).items()}})
+        _emit_json({"m": args.k, "f": {partition_str(pi): str(v) for pi, v in compute_f(args.k).items()}})
     return 0
 
 

@@ -13,7 +13,10 @@ recursion, cached, and returned as the cached mapping itself:
 * ``compute_f(m)`` - an integer weight per set partition of {1..m}, in
   ``enumerate_partitions`` order, defined by deleting the largest element:
   a singleton block {m} is dropped at no cost, while removing m from a
-  larger block B multiplies by -(|B|-1).  Level m has B_m entries and
+  larger block B multiplies by -(|B|-1).  Like F below, it is evaluated
+  forward: each f of level m-1 is pushed to the partitions that
+  ``partitions.grow`` makes from it, unchanged when m is a new singleton
+  and times -c when m joins a block of size c.  Level m has B_m entries and
   serves the literal referees and ``kmatch coeffs --what f``; it is bounded
   by ``partitions.MAX_ENUM_M``, checked before any level is built.
 
@@ -32,7 +35,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import CapacityError
-from .partitions import MAX_ENUM_M, SetPartition, enumerate_partitions
+from .partitions import MAX_ENUM_M, Partition, grow
 
 GMODES = ("paper", "corrected")
 
@@ -63,21 +66,10 @@ def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
 
 # level m holds the partitions of exactly {1..m} and depends only on level
 # m-1; each level is stored read-only and returned as it is, never copied
-_F_LEVELS: dict[int, Mapping[SetPartition, int]] = {1: MappingProxyType({SetPartition(((1,),)): 1})}
+_F_LEVELS: dict[int, Mapping[Partition, int]] = {1: MappingProxyType({((1,),): 1})}
 
 
-def _f_value(pi: SetPartition, m: int, prev: Mapping[SetPartition, int]) -> int:
-    for bi, b in enumerate(pi.blocks):
-        if b[-1] == m:
-            break
-    # m is the largest element: dropping it empties a singleton {m} and
-    # changes no other block's minimum, so the result is already canonical
-    if len(b) == 1:
-        return prev[SetPartition(pi.blocks[:bi] + pi.blocks[bi + 1 :])]
-    return -(len(b) - 1) * prev[SetPartition(pi.blocks[:bi] + (b[:-1],) + pi.blocks[bi + 1 :])]
-
-
-def compute_f(m: int) -> Mapping[SetPartition, int]:
+def compute_f(m: int) -> Mapping[Partition, int]:
     """f(pi) for every partition pi of {1..m}, in enumeration order, read-only."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -85,7 +77,9 @@ def compute_f(m: int) -> Mapping[SetPartition, int]:
         raise CapacityError(f"f table for m={m} exceeds partition bound {MAX_ENUM_M}")
     for level in range(max(_F_LEVELS) + 1, m + 1):
         prev = _F_LEVELS[level - 1]
-        _F_LEVELS[level] = MappingProxyType({pi: _f_value(pi, level, prev) for pi in enumerate_partitions(level)})
+        _F_LEVELS[level] = MappingProxyType(
+            {child: -c * fv if c else fv for pi, fv in prev.items() for child, c in grow(pi, level)}
+        )
     return _F_LEVELS[m]
 
 

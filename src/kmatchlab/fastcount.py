@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 from .coeffs import GMODES, compute_f, compute_f_types, compute_gprime
 from .errors import CapacityError
 from .graph import Graph, degree_vector
-from .partitions import SetPartition
+from .partitions import Partition
 
 INDEX_CONVENTIONS = ("paper", "corrected")
 
@@ -79,9 +79,9 @@ def power_sum(d: Sequence[int], e: int) -> int:
     return sum(x**e for x in d)
 
 
-def partition_product(d: Sequence[int], pi: SetPartition) -> int:
+def partition_product(d: Sequence[int], pi: Partition) -> int:
     """Product over blocks B of pi of power_sum(d, |B|)."""
-    return prod(power_sum(d, len(b)) for b in pi.blocks)
+    return prod(power_sum(d, len(b)) for b in pi)
 
 
 def _bracket(sums: Mapping[int, int], m: int) -> int:
@@ -140,7 +140,7 @@ def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fr
     for l in range(1, k + 1):
         m = k if options.index_convention == "paper" else l
         parts = [
-            (fv, len(pi.blocks), [(i - 1, h) for h, b in enumerate(pi.blocks) for i in b])
+            (fv, len(pi), [(i - 1, h) for h, b in enumerate(pi) for i in b])
             for pi, fv in compute_f(m).items()
         ]
         s_l = 0

@@ -54,7 +54,7 @@ from .fastcount import MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, 
 from .graph import MAX_ENUM_N, Graph, degree_vector, encode_graph6, enumerate_all_graphs
 from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_LEMMA1_N, MAX_MATCH_K, MAX_THEOREM1_N, MAX_THEOREM2_N,
                      arrangement_sum, count_k_matchings, injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
-from .partitions import SetPartition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions, partition_str
 
 
 class ClaimId(Enum):
@@ -206,7 +206,7 @@ def _lemma6_rhs(X, ftab) -> int:
     total = 0
     for pi, val in ftab.items():
         # the j-tuple sum splits into one independent factor per block
-        for b in pi.blocks:
+        for b in pi:
             val *= sum(prod(X[i - 1][j] for i in b) for j in range(n))
         total += val
     return total
@@ -226,15 +226,14 @@ def _records_lemma6(claim, budget, matrix):
     return recs
 
 
-def _thm4_direct(n: int, cols, pi: SetPartition) -> int:
+def _thm4_direct(n: int, cols, pi: Partition, m: int) -> int:
     """Fully nested transcription: sum over p-tuples and all j-tuples."""
-    m = pi.m
     block_of = [0] * m
-    for h, b in enumerate(pi.blocks):
+    for h, b in enumerate(pi):
         for i in b:
             block_of[i - 1] = h
     total = 0
-    for pt in product(range(n), repeat=len(pi.blocks)):
+    for pt in product(range(n), repeat=len(pi)):
         lists = [cols[pt[h]] for h in block_of]
         total += sum(map(prod, product(*lists)))
     return total
@@ -249,8 +248,8 @@ def _records_thm4(claim, budget, matrix):
             cols = [tuple(g.adj[j][c] for j in range(n)) for c in range(n)]
             for m in range(1, budget.k_max + 1):
                 for pi in enumerate_partitions(m):
-                    inst = f"n={n:02d}/g={g6}/m={m:02d}/pi={pi}"
-                    recs.append(_rec(claim, inst, _thm4_direct(n, cols, pi), partition_product(d, pi)))
+                    inst = f"n={n:02d}/g={g6}/m={m:02d}/pi={partition_str(pi)}"
+                    recs.append(_rec(claim, inst, _thm4_direct(n, cols, pi, m), partition_product(d, pi)))
     return recs
 
 

@@ -1,94 +1,61 @@
 """Set partitions of {1..m}, Stirling numbers of the second kind, Bell numbers.
 
-Partitions are kept in a canonical form (elements ascending within each
-block, blocks ordered by their minimum element) so they can serve as exact
-lookup keys for coefficient tables.  Enumeration walks restricted growth
-strings in lexicographic order, which produces the canonical form directly.
+A set partition is the canonical tuple of its blocks itself, for example
+``((1, 3), (2,))``: elements ascend within each block and blocks are ordered
+by their minimum element, so a partition is an exact lookup key for
+coefficient tables as it stands.  ``partition_str`` writes it as
+``{1,3|2}``, the form of THM4 instances and ``kmatch coeffs --what f``.
+
+Level m grows from level m-1 by inserting m, the largest element: ``grow``
+joins m to each block in turn, then adds {m} as a new singleton.  Read as a
+restricted growth string (the block index of each element), that appends
+0, 1, ..., max+1 to the parent's string, so growing level m-1 in order
+yields level m in RGS-lexicographic order, already canonical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CapacityError
 
 MAX_ENUM_M = 12  # B_12 ~ 4.2M partitions; enumeration refuses beyond this
 
-
-@dataclass(frozen=True)
-class SetPartition:
-    """Unordered partition of {1..m} into nonempty blocks, canonical form."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        """Canonicalize and validate arbitrary block input."""
-        raw = [tuple(sorted(b)) for b in blocks]
-        if any(not b for b in raw):
-            raise ValueError("empty block")
-        canon = tuple(sorted(raw, key=lambda b: b[0]))
-        seen: set[int] = set()
-        for b in canon:
-            for x in b:
-                if x in seen:
-                    raise ValueError(f"element {x} appears in two blocks")
-                seen.add(x)
-        m = sum(len(b) for b in canon)
-        if seen != set(range(1, m + 1)):
-            raise ValueError(f"blocks must cover 1..{m} exactly, got {sorted(seen)}")
-        return cls(canon)
-
-    def __str__(self) -> str:
-        return "{" + "|".join(",".join(str(x) for x in b) for b in self.blocks) + "}"
+Partition = tuple[tuple[int, ...], ...]
 
 
-def _rgs_stream(m: int) -> Iterator[list[int]]:
-    """All restricted growth strings of length m, lexicographically."""
-    a = [0] * m
-    if m == 1:
-        yield a
-        return
-    b = [1] * m  # b[j] = 1 + max(a[:j]); b[0] unused
-    while True:
-        yield a
-        if a[m - 1] < b[m - 1]:
-            a[m - 1] += 1
-            continue
-        j = m - 2
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        nb = b[j] + 1 if a[j] == b[j] else b[j]
-        for i in range(j + 1, m):
-            a[i] = 0
-            b[i] = nb
+# a block is a subset of {1..MAX_ENUM_M}, so at most 4,095 are ever cached
+@lru_cache(maxsize=None)
+def _block_str(b: tuple[int, ...]) -> str:
+    return ",".join(map(str, b))
 
 
-def _blocks_of_rgs(rgs: list[int]) -> tuple[tuple[int, ...], ...]:
-    nblocks = max(rgs) + 1
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for i, v in enumerate(rgs):
-        blocks[v].append(i + 1)
-    return tuple(tuple(b) for b in blocks)
+def partition_str(pi: Partition) -> str:
+    """``{1,3|2}``: blocks in order, split by ``|``, elements by ``,``."""
+    return "{" + "|".join(map(_block_str, pi)) + "}"
 
 
-def enumerate_partitions(m: int) -> Iterator[SetPartition]:
+def grow(pi: Partition, m: int) -> Iterator[tuple[Partition, int]]:
+    """Each partition that deleting m turns back into pi, in RGS order, with
+    the size of the block m joined (0 when m is a new singleton)."""
+    for i, b in enumerate(pi):
+        yield pi[:i] + (b + (m,),) + pi[i + 1 :], len(b)
+    yield pi + ((m,),), 0
+
+
+def enumerate_partitions(m: int) -> Iterator[Partition]:
     """Every partition of {1..m} exactly once, in RGS-lexicographic order."""
     if m < 1:
         raise ValueError(f"ground-set size must be positive, got {m}")
     if m > MAX_ENUM_M:
         raise CapacityError(f"refusing to enumerate B_{m} partitions (m={m} > {MAX_ENUM_M})")
-    for rgs in _rgs_stream(m):
-        yield SetPartition(_blocks_of_rgs(rgs))
+    if m == 1:
+        yield ((1,),)
+        return
+    for pi in enumerate_partitions(m - 1):
+        for child, _ in grow(pi, m):
+            yield child
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,6 @@ from kmatchlab.graph import (
     graph_from_mask,
 )
 from kmatchlab.oracle import count_k_matchings
-from kmatchlab.partitions import SetPartition
 
 CC = FastCountOptions(gmode="corrected", index_convention="corrected")
 CP = FastCountOptions(gmode="corrected", index_convention="paper")
@@ -107,8 +106,8 @@ def test_power_sum_examples(c4, p3):
 
 def test_partition_product_examples(c4, p3):
     dc4, dp3 = degree_vector(c4), degree_vector(p3)
-    two_singles = SetPartition.from_blocks([[1], [2]])
-    one_pair = SetPartition.from_blocks([[1, 2]])
+    two_singles = ((1,), (2,))
+    one_pair = ((1, 2),)
     assert partition_product(dc4, two_singles) == 64
     assert partition_product(dc4, one_pair) == 16
     assert partition_product(dp3, one_pair) == 6

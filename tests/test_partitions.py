@@ -6,15 +6,20 @@ from hypothesis import strategies as st
 
 from kmatchlab.errors import CapacityError
 from kmatchlab.partitions import (
-    SetPartition,
     bell,
     enumerate_partitions,
+    partition_str,
     stirling2,
 )
 
 
 def _partitions_by_insertion(m):
-    """Independent oracle: grow partitions by inserting element m everywhere."""
+    """Grow partitions by inserting element m everywhere.
+
+    This is the construction ``grow`` uses, so it checks the set of
+    partitions only; their order is checked by reading each one back as its
+    restricted growth string in test_enumeration_order_is_rgs_lex.
+    """
     if m == 1:
         return [((1,),)]
     out = []
@@ -29,7 +34,7 @@ def _partitions_by_insertion(m):
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_enumeration_matches_insertion_oracle(m):
-    ours = {p.blocks for p in enumerate_partitions(m)}
+    ours = set(enumerate_partitions(m))
     oracle = {
         tuple(sorted((tuple(sorted(b)) for b in part), key=lambda b: b[0]))
         for part in _partitions_by_insertion(m)
@@ -40,14 +45,29 @@ def test_enumeration_matches_insertion_oracle(m):
 
 def test_enumeration_order_is_rgs_lex():
     # for m=3: 000, 001, 010, 011, 012 as block structures
-    got = [str(p) for p in enumerate_partitions(3)]
+    got = [partition_str(p) for p in enumerate_partitions(3)]
     assert got == ["{1,2,3}", "{1,2|3}", "{1,3|2}", "{1|2,3}", "{1|2|3}"]
+    # independent of how the partitions are built: read each one back as its
+    # restricted growth string, the block index of each element
+    for m in range(1, 9):
+        rgss = []
+        for p in enumerate_partitions(m):
+            assert all(list(b) == sorted(b) for b in p)
+            assert sorted(x for b in p for x in b) == list(range(1, m + 1))
+            rgs = [0] * m
+            for h, b in enumerate(p):
+                for x in b:
+                    rgs[x - 1] = h
+            assert rgs[0] == 0 and all(rgs[i] <= max(rgs[:i]) + 1 for i in range(1, m))
+            rgss.append(rgs)
+        assert all(a < b for a, b in zip(rgss, rgss[1:]))
+        assert len(rgss) == bell(m)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_counts_match_stirling_and_bell(m):
     assert len(list(enumerate_partitions(m))) == bell(m)
-    by_blocks = Counter(len(p.blocks) for p in enumerate_partitions(m))
+    by_blocks = Counter(len(p) for p in enumerate_partitions(m))
     assert by_blocks == {q: stirling2(m, q) for q in range(1, m + 1)}
 
 
@@ -68,19 +88,8 @@ def test_stirling_rejects_negative():
 
 
 def test_canonical_form_and_str():
-    p = SetPartition.from_blocks([[3, 1], [5, 4], [2]])
-    assert p.blocks == ((1, 3), (2,), (4, 5))
-    assert str(p) == "{1,3|2|4,5}"
-    assert p.m == 5
-
-
-@pytest.mark.parametrize(
-    "blocks",
-    [[[1, 2], [2, 3]], [[1], [3]], [[]], [[1, 2], []]],
-)
-def test_from_blocks_rejects(blocks):
-    with pytest.raises(ValueError):
-        SetPartition.from_blocks(blocks)
+    assert ((1, 3), (2,), (4, 5)) in set(enumerate_partitions(5))
+    assert partition_str(((1, 3), (2,), (4, 5))) == "{1,3|2|4,5}"
 
 
 def test_enumeration_guards():
