@@ -13,8 +13,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kmatchlab.coeffs import compute_gprime
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import (
+    MAX_FAST_K,
     CountResult,
     FastCountOptions,
     _bracket,
@@ -180,3 +182,44 @@ def test_large_graph_is_fast():
     g = generate("random", 300, p=0.05, seed=7)
     r = fast_count(g, 8, CC)
     assert isinstance(r.value, Fraction)
+
+
+def _transcribed_value(g, k, opts):
+    """fast_count's value as the formula displays it: per-vertex power sums,
+    every (n-l)! in full and the whole k!(n-k)!2^k denominator."""
+    n = g.n
+    if k > n:
+        return Fraction(0)
+    d = degree_vector(g)
+    sums = {e: sum(x**e for x in d) for e in range(1, k + 1)}
+    gp = compute_gprime(k, opts.gmode)
+    if opts.index_convention == "paper":
+        total = _bracket(sums, k) * sum(factorial(n - l) * gp[l] for l in range(1, k + 1))
+    else:
+        total = sum(factorial(n - l) * gp[l] * _bracket(sums, l) for l in range(1, k + 1))
+    return Fraction(total, factorial(k) * factorial(n - k) * 2**k)
+
+
+@pytest.mark.parametrize("n, seed", [(1000, 3), (316, 11)])
+def test_value_matches_transcription_at_scale(n, seed):
+    g = generate("random", n, p=0.05, seed=seed)
+    for k in [*range(1, 13), 30]:
+        for opts in ALL_OPTIONS:
+            assert fast_count(g, k, opts).value == _transcribed_value(g, k, opts), (k, opts)
+
+
+def test_value_matches_transcription_at_the_edges():
+    graphs = [
+        generate("random", 30, p=0.2, seed=5),
+        generate("random", 12, p=0.4, seed=2),
+        generate("complete", 1),
+        generate("complete", 7),
+        from_edge_list(9, [(1, 2), (2, 3), (3, 4), (2, 5)]),  # 4 isolated vertices
+        generate("random", 10, p=0.0),  # edgeless
+    ]
+    for g in graphs:
+        n = g.n
+        # k = n + 1 takes the k > n branch, except past the guard at n = 30
+        for k in sorted({1, 2, 3, n - 1, n, n + 1} - {0, MAX_FAST_K + 1}):
+            for opts in ALL_OPTIONS:
+                assert fast_count(g, k, opts).value == _transcribed_value(g, k, opts), (n, k, opts)
