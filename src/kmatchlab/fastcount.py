@@ -8,8 +8,11 @@ where B sums f(pi) * prod over blocks of power_sum(degrees, |block|) over
 set partitions of the ground set.  The product depends on pi only through
 its block sizes, so B is evaluated as a sum over block-size types lam of
 F(lam) * prod_i power_sum(degrees, lam_i), with F the type-aggregated f
-table: p(m) terms for a ground set of size m instead of B_m.  Which ground
-set is the contested part:
+table: p(m) terms for a ground set of size m instead of B_m.  Each power
+sum is one pass over the graph's distinct degrees (Graph.degree_counts),
+not over its vertices, and the common (n-k)! cancels exactly:
+(n-l)!/(n-k)! is the falling factorial (n-l)_(k-l), so the only
+denominator left is k!2^k.  Which ground set is the contested part:
 
 * index_convention="corrected" partitions {1..l}, so B varies with l (the
   dimensionally consistent reading of the substitution step);
@@ -35,7 +38,8 @@ from typing import Mapping, Sequence
 
 from .coeffs import GMODES, compute_f, compute_f_types, compute_gprime
 from .errors import CapacityError
-from .graph import Graph, degree_vector
+from .exact import falling_factorial
+from .graph import Graph
 from .partitions import Partition
 
 INDEX_CONVENTIONS = ("paper", "corrected")
@@ -93,10 +97,12 @@ def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> Cou
     """Evaluate the claimed formula exactly under the chosen conventions.
 
     Power sums are precomputed once per exponent, so the cost is one pass
-    over the graph's degrees per exponent plus one product per block-size
-    type of the ground set(s).  When k > n the claimed count is 0 by
-    convention (no k-matching can exist and the (n-k)! prefactor is
-    undefined).
+    over the graph's distinct degrees per exponent plus one product per
+    block-size type of the ground set(s).  (n-k)! is divided out of every
+    (n-l)! exactly, leaving (n-l)_(k-l) over k!2^k: the same rational, from
+    integers of k-l factors instead of n-l.  When k > n the claimed count
+    is 0 by convention (no k-matching can exist and the (n-k)! prefactor
+    is undefined).
     """
     if options is None:
         options = FastCountOptions()
@@ -107,14 +113,16 @@ def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> Cou
     n = g.n
     if k > n:
         return CountResult(Fraction(0), True, n, k, options)
-    d = degree_vector(g)
-    sums = {e: power_sum(d, e) for e in range(1, k + 1)}
+    counts = g.degree_counts
+    sums = {e: sum(c * x**e for x, c in counts) for e in range(1, k + 1)}
     gp = compute_gprime(k, options.gmode)
+    # (n-l)! g'_k(l) with (n-k)! divided out
+    weights = {l: falling_factorial(n - l, k - l) * gp[l] for l in range(1, k + 1)}
     if options.index_convention == "paper":
-        total = _bracket(sums, k) * sum(factorial(n - l) * gp[l] for l in range(1, k + 1))
+        total = _bracket(sums, k) * sum(weights.values())
     else:
-        total = sum(factorial(n - l) * gp[l] * _bracket(sums, l) for l in range(1, k + 1))
-    value = Fraction(total, factorial(k) * factorial(n - k) * 2**k)
+        total = sum(w * _bracket(sums, l) for l, w in weights.items())
+    value = Fraction(total, factorial(k) * 2**k)
     return CountResult(value, value.denominator == 1, n, k, options)
 
 

@@ -12,8 +12,9 @@ Supported external formats:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterator
 import random
@@ -35,17 +36,27 @@ class Graph:
         """Row sums of the adjacency matrix, summed once per graph."""
         return tuple(sum(row) for row in self.adj)
 
+    @cached_property
+    def degree_counts(self) -> tuple[tuple[int, int], ...]:
+        """(degree, multiplicity) pairs in ascending degree order, built once per graph."""
+        return tuple(sorted(Counter(self.degrees).items()))
+
+    @cached_property
+    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Edges as 1-based pairs (a, b) with a < b, in row-major order, built once per graph."""
+        return tuple(
+            (i + 1, j + 1)
+            for i in range(self.n)
+            for j in range(i + 1, self.n)
+            if self.adj[i][j]
+        )
+
     def edge_count(self) -> int:
         return sum(self.adj[i][j] for i in range(self.n) for j in range(i + 1, self.n))
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as 1-based pairs (a, b) with a < b, in row-major order."""
-        return [
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.adj[i][j]
-        ]
+        return list(self.edge_pairs)
 
 
 def _build(n: int, edge_set: set[tuple[int, int]]) -> Graph:
@@ -116,16 +127,22 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_ENUM_N:
         raise CapacityError(f"refusing to enumerate 2^{n * (n - 1) // 2} graphs (n={n} > {MAX_ENUM_N})")
-    for mask in range(1 << (n * (n - 1) // 2)):
+    for mask in range(1 << len(_mask_pairs(n))):
         yield graph_from_mask(n, mask)
+
+
+@cache
+def _mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """0-based pairs (i, j), i < j, in row-major order: bit i of a mask is pair i."""
+    return tuple(combinations(range(n), 2))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph at position ``mask`` of the enumerate_all_graphs(n) stream."""
-    pairs = list(combinations(range(n), 2))
+    pairs = _mask_pairs(n)
     if not 0 <= mask < 1 << len(pairs):
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return _build(n, {pairs[i] for i in range(len(pairs)) if mask >> i & 1})
+    return _build(n, {pair for i, pair in enumerate(pairs) if mask >> i & 1})
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -211,7 +228,7 @@ def parse_edge_list_text(text: str) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     """Inverse of :func:`parse_edge_list_text`."""
-    es = g.edges()
+    es = g.edge_pairs
     lines = [f"{g.n} {len(es)}"]
     lines.extend(f"{a} {b}" for a, b in es)
     return "\n".join(lines) + "\n"

@@ -62,7 +62,7 @@ def count_k_matchings(g: Graph, k: int) -> int:
     """N(k): sets of k pairwise vertex-disjoint edges; N(0) = 1."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    edges = g.edges()
+    edges = g.edge_pairs
     if len(edges) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
         raise CapacityError(
             f"matching enumeration refused: {len(edges)} edges, k={k} "
@@ -76,7 +76,7 @@ def count_k_directed_matchings(g: Graph, k: int) -> int:
     """Sets of k directed edges whose 2k endpoints are all distinct."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    edges = g.edges()
+    edges = g.edge_pairs
     if len(edges) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
         raise CapacityError(
             f"directed matching enumeration refused: {len(edges)} edges, k={k} "

@@ -79,6 +79,39 @@ def test_degrees_are_summed_once_per_graph():
     assert pickle.loads(pickle.dumps(g)) == g
 
 
+@pytest.mark.parametrize(
+    "g",
+    [generate("random", 40, p=0.2, seed=4), generate("path", 5), from_edge_list(6, [(1, 2)]), from_edge_list(3, [])],
+)
+def test_degree_counts_are_the_degree_histogram(g):
+    counts = g.degree_counts
+    assert [d for d, _ in counts] == sorted({*g.degrees})
+    assert all(c == g.degrees.count(d) for d, c in counts)
+    assert sum(c for _, c in counts) == g.n
+    assert sum(c * d for d, c in counts) == 2 * g.edge_count()
+
+
+def test_degree_counts_are_built_once_per_graph():
+    g = generate("random", 9, p=0.5, seed=3)
+    assert g.degree_counts is g.degree_counts
+    assert generate("path", 4).degree_counts == ((1, 2), (2, 2))
+    # the cached histogram takes no part in equality, hashing or pickling
+    fresh = generate("random", 9, p=0.5, seed=3)
+    assert fresh == g and hash(fresh) == hash(g)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.degree_counts == g.degree_counts
+
+
+def test_edge_pairs_are_built_once_per_graph():
+    g = generate("cycle", 4)
+    assert g.edge_pairs is g.edge_pairs
+    assert g.edge_pairs == ((1, 2), (1, 4), (2, 3), (3, 4))
+    # edges() hands out a fresh list, so a caller's edits never reach the cache
+    es = g.edges()
+    es.clear()
+    assert g.edges() == list(g.edge_pairs) and len(g.edge_pairs) == 4
+
+
 def test_enumerate_all_graphs_counts():
     for n, want in [(1, 1), (2, 2), (3, 8), (4, 64)]:
         graphs = list(enumerate_all_graphs(n))
