@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator
 import random
@@ -131,7 +131,7 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_mask(n, mask)
 
 
-@cache
+@lru_cache(maxsize=MAX_ENUM_N)
 def _mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """0-based pairs (i, j), i < j, in row-major order: bit i of a mask is pair i."""
     return tuple(combinations(range(n), 2))

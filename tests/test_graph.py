@@ -98,8 +98,8 @@ def test_degree_counts_are_built_once_per_graph():
     # the cached histogram takes no part in equality, hashing or pickling
     fresh = generate("random", 9, p=0.5, seed=3)
     assert fresh == g and hash(fresh) == hash(g)
-    copy = pickle.loads(pickle.dumps(g))
-    assert copy == g and copy.degree_counts == g.degree_counts
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored == g and restored.degree_counts == g.degree_counts
 
 
 def test_edge_pairs_are_built_once_per_graph():
