@@ -9,8 +9,8 @@ set partitions of the ground set.  The product depends on pi only through
 its block sizes, so B is evaluated as a sum over block-size types lam of
 F(lam) * prod_i power_sum(degrees, lam_i), with F the type-aggregated f
 table: p(m) terms for a ground set of size m instead of B_m.  Each power
-sum is one pass over the graph's distinct degrees (Graph.degree_counts),
-not over its vertices, and the common (n-k)! cancels exactly:
+sum is taken over the graph's distinct degrees (Graph.degree_counts), not
+over its vertices, and the common (n-k)! cancels exactly:
 (n-l)!/(n-k)! is the falling factorial (n-l)_(k-l), so the only
 denominator left is k!2^k.  Which ground set is the contested part:
 
@@ -96,9 +96,10 @@ def _bracket(sums: Mapping[int, int], m: int) -> int:
 def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> CountResult:
     """Evaluate the claimed formula exactly under the chosen conventions.
 
-    Power sums are precomputed once per exponent, so the cost is one pass
-    over the graph's distinct degrees per exponent plus one product per
-    block-size type of the ground set(s).  (n-k)! is divided out of every
+    Power sums are precomputed by running products, one multiply per
+    (distinct degree, exponent), so the cost is one pass over the graph's
+    degree histogram plus one product per block-size type of the ground
+    set(s).  (n-k)! is divided out of every
     (n-l)! exactly, leaving (n-l)_(k-l) over k!2^k: the same rational, from
     integers of k-l factors instead of n-l.  When k > n the claimed count
     is 0 by convention (no k-matching can exist and the (n-k)! prefactor
@@ -114,7 +115,12 @@ def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> Cou
     if k > n:
         return CountResult(Fraction(0), True, n, k, options)
     counts = g.degree_counts
-    sums = {e: sum(c * x**e for x, c in counts) for e in range(1, k + 1)}
+    sums = dict.fromkeys(range(1, k + 1), 0)
+    for x, c in counts:
+        term = c  # c * x**e, one multiply per exponent
+        for e in sums:
+            term *= x
+            sums[e] += term
     gp = compute_gprime(k, options.gmode)
     # (n-l)! g'_k(l) with (n-k)! divided out
     weights = {l: falling_factorial(n - l, k - l) * gp[l] for l in range(1, k + 1)}

@@ -1,8 +1,13 @@
-"""Simple undirected graphs as symmetric 0/1 adjacency matrices.
+"""Simple undirected graphs as sorted edge lists.
 
+A graph stores its vertex count and its edges as 0-based pairs (i, j) with
+i < j in row-major order, so two graphs are equal, and hash alike, exactly
+when their edge sets are.  Everything else is derived on first read and
+cached: degrees, the degree histogram, the 1-based edge pairs, and the
+symmetric 0/1 adjacency matrix, which only the literal referees read.
 Vertices are labeled 1..n in all external interfaces (edge lists, text
-formats, error messages); the adjacency matrix itself is stored 0-indexed.
-Graphs are immutable after construction.
+formats, error messages).  Graphs are immutable after construction and are
+built through the constructors below, never from a matrix.
 
 Supported external formats:
 
@@ -26,15 +31,27 @@ MAX_ENUM_N = 7  # 2^21 labeled graphs at n=7; enumeration refuses beyond this
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph: vertex count ``n`` and symmetric 0/1 adjacency ``adj``."""
+    """Simple graph: vertex count ``n`` and 0-based edge ``pairs`` (i < j), row-major."""
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Symmetric 0/1 adjacency matrix, built on first read (n*n cells)."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for i, j in self.pairs:
+            rows[i][j] = rows[j][i] = 1
+        return tuple(map(tuple, rows))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        """Row sums of the adjacency matrix, summed once per graph."""
-        return tuple(sum(row) for row in self.adj)
+        """Vertex degrees, counted once per graph from the edge pairs."""
+        deg = [0] * self.n
+        for i, j in self.pairs:
+            deg[i] += 1
+            deg[j] += 1
+        return tuple(deg)
 
     @cached_property
     def degree_counts(self) -> tuple[tuple[int, int], ...]:
@@ -44,28 +61,14 @@ class Graph:
     @cached_property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """Edges as 1-based pairs (a, b) with a < b, in row-major order, built once per graph."""
-        return tuple(
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.adj[i][j]
-        )
+        return tuple((i + 1, j + 1) for i, j in self.pairs)
 
     def edge_count(self) -> int:
-        return sum(self.adj[i][j] for i in range(self.n) for j in range(i + 1, self.n))
+        return len(self.pairs)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as 1-based pairs (a, b) with a < b, in row-major order."""
         return list(self.edge_pairs)
-
-
-def _build(n: int, edge_set: set[tuple[int, int]]) -> Graph:
-    """Assemble an adjacency matrix from 0-based (i, j) pairs with i < j."""
-    rows = [[0] * n for _ in range(n)]
-    for i, j in edge_set:
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return Graph(n, tuple(tuple(r) for r in rows))
 
 
 def from_edge_list(n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -83,7 +86,7 @@ def from_edge_list(n: int, edges: list[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop ({a},{b}) not allowed")
         i, j = a - 1, b - 1
         edge_set.add((min(i, j), max(i, j)))
-    return _build(n, edge_set)
+    return Graph(n, tuple(sorted(edge_set)))
 
 
 def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
@@ -107,13 +110,12 @@ def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"random graph needs edge probability p in [0,1], got {p}")
         rng = random.Random(seed)
-        edge_set = {(i, j) for i, j in combinations(range(n), 2) if rng.random() < p}
-        return _build(n, edge_set)
+        return Graph(n, tuple(pair for pair in combinations(range(n), 2) if rng.random() < p))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
 def degree_vector(g: Graph) -> tuple[int, ...]:
-    """Column sums of the adjacency matrix (= row sums by symmetry)."""
+    """Vertex degrees of ``g`` (its cached ``degrees``)."""
     return g.degrees
 
 
@@ -142,7 +144,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = _mask_pairs(n)
     if not 0 <= mask < 1 << len(pairs):
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return _build(n, {pair for i, pair in enumerate(pairs) if mask >> i & 1})
+    return Graph(n, tuple(pair for i, pair in enumerate(pairs) if mask >> i & 1))
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -178,23 +180,18 @@ def parse_graph6(text: str) -> Graph:
     if any(bits[nbits:]):
         raise Graph6ParseError("nonzero padding bits", len(raw) - 1)
     # bit order: column-major upper triangle (0,1), (0,2), (1,2), (0,3), ...
-    edge_set = set()
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edge_set.add((i, j))
-            idx += 1
-    return _build(n, edge_set)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, tuple(sorted(pair for pair, bit in zip(pairs, bits) if bit)))
 
 
 def encode_graph6(g: Graph) -> str:
     """Inverse serializer for :func:`parse_graph6`."""
     if g.n > 62:
         raise ValueError(f"graph6 single-byte order limited to n <= 62, got {g.n}")
-    bits = [g.adj[i][j] for j in range(1, g.n) for i in range(j)]
-    while len(bits) % 6:
-        bits.append(0)
+    # bit j(j-1)/2 + i is pair (i, j), column-major; padded to whole bytes
+    bits = [0] * ((g.n * (g.n - 1) // 2 + 5) // 6 * 6)
+    for i, j in g.pairs:
+        bits[j * (j - 1) // 2 + i] = 1
     out = [chr(g.n + 63)]
     for off in range(0, len(bits), 6):
         val = 0

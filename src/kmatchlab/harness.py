@@ -265,8 +265,8 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
     n <= n_max and every k <= k_max, one record per variant read.
 
     v is None, a gmode or a FastCountOptions, as the side reads.  Each side is
-    evaluated once per (graph, k, v); a _DEGREES side once per (sorted degrees,
-    k, v) over the whole walk.  Records come out in canonical order.
+    evaluated once per (graph, k, v); a _DEGREES side once per (degree
+    histogram, k, v) over the whole walk.  Records come out in canonical order.
     """
     reads = max(lhs_reads, rhs_reads)
 
@@ -291,7 +291,7 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
             blocks = []  # (graph6, the graph's records)
             for g in enumerate_all_graphs(n):
                 g6 = encode_graph6(g)
-                degrees = tuple(sorted(degree_vector(g)))
+                degrees = g.degree_counts
                 block = []
                 for k in range(1, budget.k_max + 1):
                     head = f"n={n:02d}/g={g6}/k={k:02d}"

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kmatchlab.errors import CapacityError, Graph6ParseError
+from kmatchlab.fastcount import fast_count
 from kmatchlab.graph import (
     Graph,
     degree_vector,
@@ -17,6 +18,7 @@ from kmatchlab.graph import (
     parse_edge_list_text,
     parse_graph6,
 )
+from kmatchlab.oracle import count_k_matchings
 
 
 def test_from_edge_list_basic():
@@ -110,6 +112,61 @@ def test_edge_pairs_are_built_once_per_graph():
     es = g.edges()
     es.clear()
     assert g.edges() == list(g.edge_pairs) and len(g.edge_pairs) == 4
+
+
+def _dense(g):
+    """The symmetric 0/1 matrix of g, built here from its 1-based edge list."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for a, b in g.edges():
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = 1
+    return tuple(tuple(r) for r in rows)
+
+
+def test_adjacency_matrix_is_built_only_when_read():
+    big = generate("random", 2000, p=0.01, seed=2)
+    big.degree_counts, big.edge_count(), fast_count(big, 9)
+    with pytest.raises(ValueError):
+        encode_graph6(big)
+    with pytest.raises(CapacityError):
+        count_k_matchings(big, 3)
+    assert "adj" not in vars(big)
+    small = generate("random", 10, p=0.3, seed=1)
+    encode_graph6(small), format_edge_list(small), count_k_matchings(small, 3), fast_count(small, 3)
+    assert "adj" not in vars(small)
+    assert small.adj == _dense(small) and "adj" in vars(small)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("random", 30, p=0.3, seed=5),
+        generate("cycle", 6),
+        generate("complete", 5),
+        from_edge_list(4, [(4, 1), (3, 2)]),
+        from_edge_list(2, []),
+        parse_graph6("Dhc"),
+    ],
+)
+def test_adjacency_matrix_is_the_dense_form_of_the_edges(g):
+    assert g.adj == _dense(g)
+    assert g.adj is g.adj
+    assert g.pairs == tuple(sorted(set(g.pairs)))
+
+
+def test_every_constructor_gives_one_canonical_order():
+    for n in range(1, 6):
+        for g in enumerate_all_graphs(n):
+            for other in (from_edge_list(n, list(reversed(g.edges()))), parse_graph6(encode_graph6(g))):
+                assert other == g and hash(other) == hash(g)
+
+
+def test_graph_pickled_after_adjacency_read_equals_a_fresh_one():
+    g = generate("random", 9, p=0.5, seed=3)
+    assert g.adj
+    restored = pickle.loads(pickle.dumps(g))
+    fresh = generate("random", 9, p=0.5, seed=3)
+    assert restored == fresh and hash(restored) == hash(fresh)
+    assert restored.adj == fresh.adj == _dense(fresh)
 
 
 def test_enumerate_all_graphs_counts():
