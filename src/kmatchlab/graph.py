@@ -2,7 +2,7 @@
 
 A graph stores its vertex count and its edges as 0-based pairs (i, j) with
 i < j in row-major order, so two graphs are equal, and hash alike, exactly
-when their edge sets are.  Everything else is derived on first read and
+when their vertex counts and edge sets are.  Everything else is derived on first read and
 cached: degrees, the degree histogram, the 1-based edge pairs, and the
 symmetric 0/1 adjacency matrix, which only the literal referees read.
 Vertices are labeled 1..n in all external interfaces (edge lists, text
