@@ -12,7 +12,10 @@ table: p(m) terms for a ground set of size m instead of B_m.  Each power
 sum is taken over the graph's distinct degrees (Graph.degree_counts), not
 over its vertices, and the common (n-k)! cancels exactly:
 (n-l)!/(n-k)! is the falling factorial (n-l)_(k-l), so the only
-denominator left is k!2^k.  Which ground set is the contested part:
+denominator left is k!2^k.  A bracket depends on the graph only through
+its degree histogram and on nothing but the ground-set size m, so B_m is
+memoised per (histogram, m) and shared by every k and both conventions.
+Which ground set is the contested part:
 
 * index_convention="corrected" partitions {1..l}, so B varies with l (the
   dimensionally consistent reading of the substitution step);
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 from typing import Mapping, Sequence
@@ -46,6 +50,9 @@ INDEX_CONVENTIONS = ("paper", "corrected")
 
 MAX_FAST_K = 30  # p(30) = 5,604 block-size types in the largest F level
 MAX_LEMMA7_N = 5
+# END_TO_END at its guard (every graph with n <= 7, k <= 8) needs 3,222
+# distinct (histogram, m) brackets, the n <= 6 search (151 histograms, k <= 3) 449
+_BRACKET_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -93,15 +100,31 @@ def _bracket(sums: Mapping[int, int], m: int) -> int:
     return sum(fv * prod(sums[part] for part in lam) for lam, fv in compute_f_types(m).items())
 
 
+@lru_cache(maxsize=_BRACKET_CACHE_SIZE)
+def _histogram_bracket(counts: tuple[tuple[int, int], ...], m: int) -> int:
+    """B_m of a graph whose (degree, multiplicity) histogram is counts.
+
+    Power sums are built by running products, one multiply per (distinct
+    degree, exponent), then handed to _bracket.
+    """
+    sums = dict.fromkeys(range(1, m + 1), 0)
+    for x, c in counts:
+        term = c  # c * x**e, one multiply per exponent
+        for e in sums:
+            term *= x
+            sums[e] += term
+    return _bracket(sums, m)
+
+
 def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> CountResult:
     """Evaluate the claimed formula exactly under the chosen conventions.
 
-    Power sums are precomputed by running products, one multiply per
-    (distinct degree, exponent), so the cost is one pass over the graph's
-    degree histogram plus one product per block-size type of the ground
-    set(s).  (n-k)! is divided out of every
-    (n-l)! exactly, leaving (n-l)_(k-l) over k!2^k: the same rational, from
-    integers of k-l factors instead of n-l.  When k > n the claimed count
+    Each bracket comes from _histogram_bracket, memoised per (degree
+    histogram, ground-set size), so a histogram's B_m is built once, by
+    one pass over the histogram plus one product per block-size type,
+    whatever k and conventions later ask for it.  (n-k)! is divided out of
+    every (n-l)! exactly, leaving (n-l)_(k-l) over k!2^k: the same rational,
+    from integers of k-l factors instead of n-l.  When k > n the claimed count
     is 0 by convention (no k-matching can exist and the (n-k)! prefactor
     is undefined).
     """
@@ -115,19 +138,13 @@ def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> Cou
     if k > n:
         return CountResult(Fraction(0), True, n, k, options)
     counts = g.degree_counts
-    sums = dict.fromkeys(range(1, k + 1), 0)
-    for x, c in counts:
-        term = c  # c * x**e, one multiply per exponent
-        for e in sums:
-            term *= x
-            sums[e] += term
     gp = compute_gprime(k, options.gmode)
     # (n-l)! g'_k(l) with (n-k)! divided out
     weights = {l: falling_factorial(n - l, k - l) * gp[l] for l in range(1, k + 1)}
     if options.index_convention == "paper":
-        total = _bracket(sums, k) * sum(weights.values())
+        total = _histogram_bracket(counts, k) * sum(weights.values())
     else:
-        total = sum(w * _bracket(sums, l) for l, w in weights.items())
+        total = sum(w * _histogram_bracket(counts, l) for l, w in weights.items())
     value = Fraction(total, factorial(k) * 2**k)
     return CountResult(value, value.denominator == 1, n, k, options)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 import random
 
@@ -109,8 +109,11 @@ def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
     if kind == "random":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"random graph needs edge probability p in [0,1], got {p}")
-        rng = random.Random(seed)
-        return Graph(n, tuple(pair for pair in combinations(range(n), 2) if rng.random() < p))
+        r = random.Random(seed).random
+        vertices = list(range(n))  # one int object per vertex, shared by its pairs
+        # one row of coins at a time, keeping only the pairs drawn
+        rows = ([(i, j) for j in vertices[i + 1:] if r() < p] for i in vertices)
+        return Graph(n, tuple(chain.from_iterable(rows)))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 

@@ -266,7 +266,8 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
 
     v is None, a gmode or a FastCountOptions, as the side reads.  Each side is
     evaluated once per (graph, k, v); a _DEGREES side once per (degree
-    histogram, k, v) over the whole walk.  Records come out in canonical order.
+    histogram, k, v) over the whole walk, through one memo that no other
+    side touches.  Records come out in canonical order.
     """
     reads = max(lhs_reads, rhs_reads)
 
@@ -291,16 +292,18 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
             blocks = []  # (graph6, the graph's records)
             for g in enumerate_all_graphs(n):
                 g6 = encode_graph6(g)
-                degrees = g.degree_counts
                 block = []
                 for k in range(1, budget.k_max + 1):
                     head = f"n={n:02d}/g={g6}/k={k:02d}"
                     values = []
                     for i, (side, by_degrees, vs) in enumerate(sides):
-                        memo = shared if by_degrees else {}
-                        if (i, degrees, k) not in memo:
-                            memo[i, degrees, k] = [side(g, k, v) for v in vs]
-                        values.append(memo[i, degrees, k])
+                        if by_degrees:
+                            key = (i, g.degree_counts, k)
+                            if key not in shared:
+                                shared[key] = [side(g, k, v) for v in vs]
+                            values.append(shared[key])
+                        else:
+                            values.append([side(g, k, v) for v in vs])
                     lv, rv = values
                     block.extend(_rec(claim, head, lv[li], rv[ri], variant) for variant, li, ri in plan)
                 blocks.append((g6, block))
@@ -352,6 +355,9 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
         lambda g, k, _: count_k_matchings(g, k), _NONE)),
 }
 
+# discrepancy_search's guards on n_max and k_max
+MAX_SEARCH_N, MAX_SEARCH_K = 6, 3
+
 
 def verify_claim(
     claim: ClaimId,
@@ -382,13 +388,14 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
 
     Emits one END_TO_END record per (graph, k, options) triple, from the
     same walker as verify_claim(END_TO_END), into one canonical report.  Its
-    guards (n_max <= 6, k_max <= 3) are tighter than the claim's, since every
-    record is held in memory; the report's text never is whole.
+    guards, MAX_SEARCH_N and MAX_SEARCH_K, are tighter than the claim's, since
+    every record is held in memory; the report's text never is whole.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError(f"bounds must be positive, got n_max={n_max}, k_max={k_max}")
-    if n_max > 6 or k_max > 3:
-        raise CapacityError(f"search refused: n_max={n_max}, k_max={k_max} (limits 6, 3)")
+    if n_max > MAX_SEARCH_N or k_max > MAX_SEARCH_K:
+        raise CapacityError(f"search refused: n_max={n_max}, k_max={k_max} "
+                            f"(limits {MAX_SEARCH_N}, {MAX_SEARCH_K})")
     claim = ClaimId.END_TO_END
     return build_report(_SPECS[claim].walk(claim, Budget(n_max, k_max), OPTIONS_MATRIX), OPTIONS_MATRIX)
 

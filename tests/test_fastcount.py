@@ -20,6 +20,7 @@ from kmatchlab.fastcount import (
     CountResult,
     FastCountOptions,
     _bracket,
+    _histogram_bracket,
     fast_count,
     lemma7_eval,
     partition_product,
@@ -223,3 +224,49 @@ def test_value_matches_transcription_at_the_edges():
         for k in sorted({1, 2, 3, n - 1, n, n + 1} - {0, MAX_FAST_K + 1}):
             for opts in ALL_OPTIONS:
                 assert fast_count(g, k, opts).value == _transcribed_value(g, k, opts), (n, k, opts)
+
+
+def test_bracket_memo_is_order_independent():
+    # brackets are shared across k and conventions; whichever call fills the
+    # memo first, every result is the one a cold in-order sweep gives
+    g = generate("random", 316, p=0.05, seed=11)
+    calls = [(k, opts) for k in range(1, 10) for opts in ALL_OPTIONS]
+    _histogram_bracket.cache_clear()
+    in_order = [fast_count(g, k, opts) for k, opts in calls]
+    _histogram_bracket.cache_clear()
+    shuffled = calls[:]
+    random.Random(5).shuffle(shuffled)
+    by_call = {(k, opts): fast_count(g, k, opts) for k, opts in shuffled}
+    assert [by_call[c] for c in calls] == in_order
+
+
+def test_graphs_sharing_a_histogram_share_brackets():
+    c6 = generate("cycle", 6)
+    two_c3 = from_edge_list(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    assert c6 != two_c3 and c6.degree_counts == two_c3.degree_counts
+    _histogram_bracket.cache_clear()
+    first = [fast_count(c6, k, opts) for k in range(1, 7) for opts in ALL_OPTIONS]
+    misses = _histogram_bracket.cache_info().misses
+    assert misses == 6  # B_1..B_6, once each for all k and conventions
+    second = [fast_count(two_c3, k, opts) for k in range(1, 7) for opts in ALL_OPTIONS]
+    assert _histogram_bracket.cache_info().misses == misses
+    assert [r.value for r in first] == [r.value for r in second]
+
+
+def test_histogram_bracket_equals_bracket_of_vertex_power_sums():
+    graphs = [g for n in range(1, 6) for g in enumerate_all_graphs(n)]
+    graphs += [generate("random", 40, p=0.3, seed=s) for s in range(3)] + [generate("complete", 9)]
+    for g in graphs:
+        d = degree_vector(g)
+        sums = {e: power_sum(d, e) for e in range(1, 10)}
+        for m in range(1, min(g.n, 9) + 1):
+            assert _histogram_bracket(g.degree_counts, m) == _bracket(sums, m), (g, m)
+
+
+def test_bracket_memo_is_bounded():
+    info = _histogram_bracket.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for d in range(info.maxsize + 50):
+        _histogram_bracket(((d, 1),), 1)
+        assert _histogram_bracket.cache_info().currsize <= info.maxsize
+    assert _histogram_bracket.cache_info().currsize == info.maxsize

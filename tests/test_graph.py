@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -63,6 +64,20 @@ def test_random_graph_deterministic():
     assert a.adj != c.adj  # astronomically unlikely to collide
     assert generate("random", 10, p=0.0).edge_count() == 0
     assert generate("random", 10, p=1.0).edge_count() == 45
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (1, 0.5, 0), (2, 0.5, 1), (12, 0.4, 7), (40, 0.1, 3), (100, 0.05, 11),
+    (25, 0.0, 5), (25, 1.0, 5), (60, 0.999, 2), (60, 0.001, 9),
+])
+def test_random_graph_follows_the_documented_coin_order(n, p, seed):
+    # one rng.random() per vertex pair in row-major order, the pair kept when
+    # the coin is below p
+    rng = random.Random(seed)
+    want = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+    g = generate("random", n, p=p, seed=seed)
+    assert g.pairs == want
+    assert g == from_edge_list(n, [(i + 1, j + 1) for i, j in want])
 
 
 def test_degree_vector():

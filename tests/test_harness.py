@@ -231,12 +231,35 @@ def test_search_soundness_spot_check():
 
 
 def test_search_guards():
-    with pytest.raises(CapacityError):
-        discrepancy_search(7, 2)
-    with pytest.raises(CapacityError):
-        discrepancy_search(3, 4)
+    n_guard, k_guard = harness.MAX_SEARCH_N, harness.MAX_SEARCH_K
+    for n_max, k_max in ((n_guard + 1, 2), (3, k_guard + 1)):
+        text = f"search refused: n_max={n_max}, k_max={k_max} (limits {n_guard}, {k_guard})"
+        with pytest.raises(CapacityError, match=re.escape(text)):
+            discrepancy_search(n_max, k_max)
+    assert (n_guard, k_guard) == (6, 3)  # `kmatch search --nmax 6 --kmax 3` is the largest allowed
     with pytest.raises(ValueError):
         discrepancy_search(0, 1)
+
+
+def test_graph_walker_calls_each_plain_side_once_per_graph_and_k(monkeypatch):
+    # the oracle side reads no degrees: one call per (graph, k), however many
+    # graphs share a degree histogram; fast_count once per (histogram, k, options)
+    calls = {"oracle": 0, "fast": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "count_k_matchings", counted("oracle", count_k_matchings))
+    monkeypatch.setattr(harness, "fast_count", counted("fast", fast_count))
+    recs = verify_claim(ClaimId.END_TO_END, Budget(n_max=4, k_max=2))
+    graphs = sum(2 ** (n * (n - 1) // 2) for n in range(1, 5))
+    assert len(recs) == graphs * 2 * len(OPTIONS_MATRIX)
+    assert calls["oracle"] == graphs * 2
+    histograms = {(parse_graph6(r.head.split("/")[1][2:]).degree_counts, r.head[-2:]) for r in recs}
+    assert calls["fast"] == len(histograms) * len(OPTIONS_MATRIX)
 
 
 def test_json_round_trip_preserves_everything():
