@@ -39,7 +39,14 @@ from .partitions import MAX_ENUM_M, Partition, grow
 
 GMODES = ("paper", "corrected")
 
-_GPRIME_ROWS: dict[tuple[int, str], Mapping[int, int]] = {}
+MAX_GPRIME_K = 1000
+
+# per mode, rows 1..K built so far, row k at position k-1; row k depends
+# only on row k-1, and rows 1 and 2 are the base
+_GPRIME_ROWS: dict[str, list[Mapping[int, int]]] = {
+    "paper": [MappingProxyType({1: 1}), MappingProxyType({1: 1, 2: 1})],
+    "corrected": [MappingProxyType({1: 1}), MappingProxyType({1: -1, 2: 1})],
+}
 
 
 def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
@@ -48,20 +55,17 @@ def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
         raise ValueError(f"unknown gmode {mode!r}, expected one of {GMODES}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    key = (k, mode)
-    if key not in _GPRIME_ROWS:
-        if k == 1:
-            row = {1: 1}
-        elif k == 2:
-            row = {1: 1, 2: 1} if mode == "paper" else {1: -1, 2: 1}
-        else:
-            prev = compute_gprime(k - 1, mode)
-            row = {1: -(k - 1) * prev[1]}
-            for l in range(2, k):
-                row[l] = prev[l - 1] - (k - 1) * prev[l]
-            row[k] = prev[k - 1]
-        _GPRIME_ROWS[key] = MappingProxyType(row)
-    return _GPRIME_ROWS[key]
+    if k > MAX_GPRIME_K:
+        raise CapacityError(f"g' table refused: k={k} > {MAX_GPRIME_K}")
+    rows = _GPRIME_ROWS[mode]
+    for level in range(len(rows) + 1, k + 1):
+        prev = rows[-1]
+        row = {1: -(level - 1) * prev[1]}
+        for l in range(2, level):
+            row[l] = prev[l - 1] - (level - 1) * prev[l]
+        row[level] = prev[level - 1]
+        rows.append(MappingProxyType(row))
+    return rows[k - 1]
 
 
 # level m holds the partitions of exactly {1..m} and depends only on level

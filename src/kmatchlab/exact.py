@@ -34,8 +34,3 @@ def rat_str(x: Fraction | int) -> str:
     if type(x) is not int and type(x) is not Fraction:
         x = Fraction(x)
     return str(x)
-
-
-def rat_from_str(text: str) -> Fraction:
-    """Inverse of :func:`rat_str`."""
-    return Fraction(text)

@@ -2,17 +2,18 @@
 
 A graph stores its vertex count and its edges as 0-based pairs (i, j) with
 i < j in row-major order, so two graphs are equal, and hash alike, exactly
-when their vertex counts and edge sets are.  Everything else is derived on first read and
-cached: degrees, the degree histogram, the 1-based edge pairs, and the
-symmetric 0/1 adjacency matrix, which only the literal referees read.
-Vertices are labeled 1..n in all external interfaces (edge lists, text
-formats, error messages).  Graphs are immutable after construction and are
-built through the constructors below, never from a matrix.
+when their vertex counts and edge sets are.  The pairs are the one edge
+representation; everything else is derived from them on first read and
+cached: degrees, the degree histogram, and the symmetric 0/1 adjacency
+matrix, which only the literal referees read.  Vertices are labeled 1..n in
+the external inputs (edge lists, edge-list text, error messages).  Graphs
+are immutable after construction and are built through the constructors
+below, never from a matrix.
 
 Supported external formats:
 
 * graph6 (standard ASCII encoding, single-byte order, n <= 62)
-* plain edge-list text: first line ``n m``, then m lines ``a b``
+* plain edge-list text (input only): first line ``n m``, then m lines ``a b``
 """
 
 from __future__ import annotations
@@ -57,18 +58,6 @@ class Graph:
     def degree_counts(self) -> tuple[tuple[int, int], ...]:
         """(degree, multiplicity) pairs in ascending degree order, built once per graph."""
         return tuple(sorted(Counter(self.degrees).items()))
-
-    @cached_property
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Edges as 1-based pairs (a, b) with a < b, in row-major order, built once per graph."""
-        return tuple((i + 1, j + 1) for i, j in self.pairs)
-
-    def edge_count(self) -> int:
-        return len(self.pairs)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges as 1-based pairs (a, b) with a < b, in row-major order."""
-        return list(self.edge_pairs)
 
 
 def from_edge_list(n: int, edges: list[tuple[int, int]]) -> Graph:
@@ -224,11 +213,3 @@ def parse_edge_list_text(text: str) -> Graph:
             raise ValueError(f"edge line must be 'a b', got {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return from_edge_list(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    """Inverse of :func:`parse_edge_list_text`."""
-    es = g.edge_pairs
-    lines = [f"{g.n} {len(es)}"]
-    lines.extend(f"{a} {b}" for a, b in es)
-    return "\n".join(lines) + "\n"

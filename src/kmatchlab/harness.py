@@ -47,11 +47,11 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from ._version import __version__
-from .coeffs import compute_f, compute_gprime
+from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError
-from .exact import falling_factorial, rat_from_str, rat_str
+from .exact import falling_factorial, rat_str
 from .fastcount import MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
-from .graph import MAX_ENUM_N, Graph, degree_vector, encode_graph6, enumerate_all_graphs
+from .graph import MAX_ENUM_N, Graph, encode_graph6, enumerate_all_graphs
 from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_LEMMA1_N, MAX_MATCH_K, MAX_THEOREM1_N, MAX_THEOREM2_N,
                      arrangement_sum, count_k_matchings, injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
 from .partitions import Partition, enumerate_partitions, partition_str
@@ -108,7 +108,8 @@ class Budget:
 TRIALS = 20  # seeded random instances per n (LEMMA2) and per (m, n) (LEMMA6)
 
 
-# full convention matrix, alphabetical, the default everywhere
+# the full convention matrix, alphabetical: every claim that reads the
+# index convention, and the search, walk all four
 OPTIONS_MATRIX = (
     FastCountOptions("corrected", "corrected"),
     FastCountOptions("corrected", "paper"),
@@ -142,16 +143,14 @@ def _mat(X: Sequence[Sequence[int]]) -> str:
     return "(" + ",".join(_vec(r) for r in X) + ")"
 
 
-def _unique_gmodes(matrix: Sequence[FastCountOptions]) -> list[str]:
-    return list(dict.fromkeys(o.gmode for o in matrix))
-
-
 # -- per-claim instance walkers ----------------------------------------------
 #
-# A walker takes (claim, budget, options matrix), with the budget's n_max and
-# k_max already resolved, and returns the claim's records.  Referees are
-# looked up as module globals at call time, never held in a spec, so that
-# rebinding one here (a tracer's wrapper, a test's monkeypatch) takes effect.
+# A walker takes (claim, budget), with the budget's n_max and k_max already
+# resolved, and returns the claim's records under every convention variant
+# the claim reads: no caller picks a subset of the convention matrix.
+# Referees are looked up as module globals at call time, never held in a
+# spec, so that rebinding one here (a tracer's wrapper, a test's
+# monkeypatch) takes effect.
 
 def _double_sum(x: Sequence[int]) -> int:
     """Sum of x[a]*x[b] over all ordered pairs (a, b), diagonal included."""
@@ -162,7 +161,7 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
     """LEMMA2/3: arrangement_sum(x, 2) vs the double sum minus diagonal(x), on
     every 0/1 vector x, plus seeded integer vectors if random_trials."""
 
-    def walk(claim, budget, matrix):
+    def walk(claim, budget):
         recs = []
         for n in range(1, budget.n_max + 1):
             xs = [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
@@ -177,11 +176,10 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
     return walk
 
 
-def _records_lemma4(claim, budget, matrix):
+def _records_lemma4(claim, budget):
     recs = []
     k_max = budget.k_max
-    gmodes = _unique_gmodes(matrix)
-    for gm in gmodes:
+    for gm in GMODES:
         for k in range(2, k_max + 1):
             gp = compute_gprime(k, gm)
             for s in range(0, 9):
@@ -194,7 +192,7 @@ def _records_lemma4(claim, budget, matrix):
             for k in range(2, kv_max + 1):
                 lhs = arrangement_sum(x, k)
                 head = f"n={n:02d}/x={_vec(x)}/k={k:02d}"
-                for gm in gmodes:
+                for gm in GMODES:
                     gp = compute_gprime(k, gm)
                     rhs = sum(gp[l] * s1**l for l in range(1, k + 1))
                     recs.append(_rec(claim, head, lhs, rhs, f"gmode={gm}"))
@@ -212,7 +210,7 @@ def _lemma6_rhs(X, ftab) -> int:
     return total
 
 
-def _records_lemma6(claim, budget, matrix):
+def _records_lemma6(claim, budget):
     recs = []
     seed = budget.seed
     for m in range(2, budget.k_max + 1):
@@ -239,12 +237,12 @@ def _thm4_direct(n: int, cols, pi: Partition, m: int) -> int:
     return total
 
 
-def _records_thm4(claim, budget, matrix):
+def _records_thm4(claim, budget):
     recs = []
     for n in range(1, budget.n_max + 1):
         for g in enumerate_all_graphs(n):
             g6 = encode_graph6(g)
-            d = degree_vector(g)
+            d = g.degrees
             cols = [tuple(g.adj[j][c] for j in range(n)) for c in range(n)]
             for m in range(1, budget.k_max + 1):
                 for pi in enumerate_partitions(m):
@@ -264,28 +262,30 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
     """Compare lhs(g, k, v) with rhs(g, k, v) on every labeled graph with
     n <= n_max and every k <= k_max, one record per variant read.
 
-    v is None, a gmode or a FastCountOptions, as the side reads.  Each side is
+    v is None, a gmode of coeffs.GMODES or a FastCountOptions of
+    OPTIONS_MATRIX, as the side reads; the variant rows and which v each side
+    takes in each row are laid out once, when the spec is made.  Each side is
     evaluated once per (graph, k, v); a _DEGREES side once per (degree
     histogram, k, v) over the whole walk, through one memo that no other
     side touches.  Records come out in canonical order.
     """
     reads = max(lhs_reads, rhs_reads)
+    if reads == _NONE:
+        rows = [("", (None,) * 4)]
+    elif reads == _GMODE:
+        rows = [(f"gmode={gm}", (None, gm, None, None)) for gm in GMODES]
+    else:
+        rows = [(f"gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in OPTIONS_MATRIX]
+    rows.sort(key=itemgetter(0))
+    # per side, the distinct v it reads; per row, the position of its own v
+    sides, picks = [], []
+    for side, level in ((lhs, lhs_reads), (rhs, rhs_reads)):
+        vs = list(dict.fromkeys(v[level] for _, v in rows))
+        sides.append((side, level == _DEGREES, vs))
+        picks.append([vs.index(v[level]) for _, v in rows])
+    plan = list(zip([variant for variant, _ in rows], *picks))
 
-    def walk(claim, budget, matrix):
-        if reads == _NONE:
-            rows = [("", (None,) * 4)]
-        elif reads == _GMODE:
-            rows = [(f"gmode={gm}", (None, gm, None, None)) for gm in _unique_gmodes(matrix)]
-        else:
-            rows = [(f"gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in matrix]
-        rows.sort(key=itemgetter(0))
-        # per side, the distinct v it reads; per row, the position of its own v
-        sides, picks = [], []
-        for side, level in ((lhs, lhs_reads), (rhs, rhs_reads)):
-            vs = list(dict.fromkeys(v[level] for _, v in rows))
-            sides.append((side, level == _DEGREES, vs))
-            picks.append([vs.index(v[level]) for _, v in rows])
-        plan = list(zip([variant for variant, _ in rows], *picks))
+    def walk(claim, budget):
         shared: dict = {}
         recs = []
         for n in range(1, budget.n_max + 1):
@@ -325,7 +325,7 @@ class ClaimSpec:
 
     defaults: tuple[int, int]
     guard: tuple[int, int]
-    walk: Callable[[ClaimId, Budget, tuple], list[VerificationRecord]]
+    walk: Callable[[ClaimId, Budget], list[VerificationRecord]]
 
 
 _SPECS: dict[ClaimId, ClaimSpec] = {
@@ -359,12 +359,9 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
 MAX_SEARCH_N, MAX_SEARCH_K = 6, 3
 
 
-def verify_claim(
-    claim: ClaimId,
-    budget: Budget | None = None,
-    options: Iterable[FastCountOptions] | None = None,
-) -> list[VerificationRecord]:
-    """Evaluate both sides of one claim on every instance in the budget."""
+def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
+    """Evaluate both sides of one claim on every instance in the budget, under
+    every convention variant it reads."""
     budget = budget or Budget()
     spec = _SPECS[claim]
     n_max = budget.n_max if budget.n_max is not None else spec.defaults[0]
@@ -377,8 +374,7 @@ def verify_claim(
             f"budget n_max={n_max}, k_max={k_max} exceeds {claim.value} "
             f"guard (n_max <= {n_guard}, k_max <= {k_guard})"
         )
-    matrix = tuple(options) if options is not None else OPTIONS_MATRIX
-    return _canonical(spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max), matrix))
+    return _canonical(spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max)))
 
 
 # -- discrepancy search ------------------------------------------------------
@@ -397,7 +393,7 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
         raise CapacityError(f"search refused: n_max={n_max}, k_max={k_max} "
                             f"(limits {MAX_SEARCH_N}, {MAX_SEARCH_K})")
     claim = ClaimId.END_TO_END
-    return build_report(_SPECS[claim].walk(claim, Budget(n_max, k_max), OPTIONS_MATRIX), OPTIONS_MATRIX)
+    return build_report(_SPECS[claim].walk(claim, Budget(n_max, k_max)), OPTIONS_MATRIX)
 
 
 # -- report assembly and serialization ---------------------------------------
@@ -430,8 +426,8 @@ def report_from_json(text: str) -> VerificationReport:
     records = []
     for r in obj["records"]:
         head, sep, rest = r["instance"].partition("/gmode=")
-        records.append(VerificationRecord(ClaimId(r["claim"]), head, rat_from_str(r["lhs"]),
-                                          rat_from_str(r["rhs"]), r["verdict"], "gmode=" + rest if sep else ""))
+        records.append(VerificationRecord(ClaimId(r["claim"]), head, Fraction(r["lhs"]), Fraction(r["rhs"]),
+                                          r["verdict"], "gmode=" + rest if sep else ""))
     matrix = tuple(FastCountOptions(o["gmode"], o["index_convention"]) for o in obj["options_matrix"])
     return VerificationReport(obj["version"], matrix, records, obj["summary"], obj["options_summary"],
                               obj["first_counterexample"])

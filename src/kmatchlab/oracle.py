@@ -62,13 +62,13 @@ def count_k_matchings(g: Graph, k: int) -> int:
     """N(k): sets of k pairwise vertex-disjoint edges; N(0) = 1."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    edges = g.edge_pairs
-    if len(edges) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
+    pairs = g.pairs
+    if len(pairs) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
         raise CapacityError(
-            f"matching enumeration refused: {len(edges)} edges, k={k} "
+            f"matching enumeration refused: {len(pairs)} edges, k={k} "
             f"(limits: {MAX_MATCH_EDGES} edges, k <= {MAX_MATCH_K})"
         )
-    masks = [1 << (a - 1) | 1 << (b - 1) for a, b in edges]
+    masks = [1 << i | 1 << j for i, j in pairs]
     return _count_disjoint(masks, k)
 
 
@@ -76,35 +76,34 @@ def count_k_directed_matchings(g: Graph, k: int) -> int:
     """Sets of k directed edges whose 2k endpoints are all distinct."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    edges = g.edge_pairs
-    if len(edges) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
+    pairs = g.pairs
+    if len(pairs) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
         raise CapacityError(
-            f"directed matching enumeration refused: {len(edges)} edges, k={k} "
+            f"directed matching enumeration refused: {len(pairs)} edges, k={k} "
             f"(limits: {MAX_MATCH_EDGES} edges, k <= {MAX_MATCH_K})"
         )
     # both orientations of an edge carry the same endpoint mask
-    masks = [1 << (a - 1) | 1 << (b - 1) for a, b in edges for _ in range(2)]
+    masks = [1 << i | 1 << j for i, j in pairs for _ in range(2)]
     return _count_disjoint(masks, k)
 
 
 def count_rook_placements(g: Graph, k: int) -> int:
-    """k-subsets of the 1-entries of adj with distinct rows and distinct columns."""
+    """k-subsets of the 1-entries of adj with distinct rows and distinct columns.
+
+    The 1-entries are read from the edge pairs, (i, j) and (j, i) per edge,
+    so the n x n matrix is never built.
+    """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    n = g.n
-    if n > MAX_ROOK_N and k > MAX_ROOK_K:
+    n, m = g.n, len(g.pairs)
+    if n > MAX_ROOK_N and (k > MAX_ROOK_K or m > MAX_MATCH_EDGES):
         raise CapacityError(
-            f"rook enumeration refused: n={n}, k={k} "
-            f"(needs n <= {MAX_ROOK_N} or k <= {MAX_ROOK_K})"
+            f"rook enumeration refused: n={n}, k={k}, {m} edges "
+            f"(needs n <= {MAX_ROOK_N}, or k <= {MAX_ROOK_K} and at most {MAX_MATCH_EDGES} edges)"
         )
     if k > n:
         return 0  # k distinct rows cannot exist
-    masks = [
-        1 << i | 1 << (n + j)
-        for i in range(n)
-        for j in range(n)
-        if g.adj[i][j]
-    ]
+    masks = [1 << i | 1 << (n + j) for a, b in g.pairs for i, j in ((a, b), (b, a))]
     return _count_disjoint(masks, k)
 
 

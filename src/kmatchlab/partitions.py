@@ -1,4 +1,4 @@
-"""Set partitions of {1..m}, Stirling numbers of the second kind, Bell numbers.
+"""Set partitions of {1..m}: canonical form, text form, enumeration.
 
 A set partition is the canonical tuple of its blocks itself, for example
 ``((1, 3), (2,))``: elements ascend within each block and blocks are ordered
@@ -56,22 +56,3 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
     for pi in enumerate_partitions(m - 1):
         for child, _ in grow(pi, m):
             yield child
-
-
-@lru_cache(maxsize=None)
-def stirling2(m: int, q: int) -> int:
-    """S(m, q) by the recurrence S(m,q) = q·S(m-1,q) + S(m-1,q-1)."""
-    if m < 0 or q < 0:
-        raise ValueError(f"negative arguments m={m}, q={q}")
-    if m == 0:
-        return 1 if q == 0 else 0
-    if q == 0 or q > m:
-        return 0
-    return q * stirling2(m - 1, q) + stirling2(m - 1, q - 1)
-
-
-def bell(m: int) -> int:
-    """B_m = sum over q of S(m, q)."""
-    if m < 0:
-        raise ValueError(f"negative argument m={m}")
-    return sum(stirling2(m, q) for q in range(m + 1))

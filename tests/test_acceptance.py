@@ -22,7 +22,6 @@ from kmatchlab.harness import (
 from kmatchlab.oracle import count_k_directed_matchings, count_k_matchings
 
 CC = FastCountOptions("corrected", "corrected")
-PC = FastCountOptions("paper", "corrected")
 
 
 def _scoreboard(capsys, num, name, ok, detail):
@@ -102,11 +101,15 @@ def test_criterion_5_derivation_chain_localization(capsys):
     ok = True
     details = []
 
-    step = verify_claim(ClaimId.THM1_VS_LEMMA1, Budget(n_max=5, k_max=2), options=[CC])
+    # the corrected g' base row, and then the corrected index convention: the
+    # readings under which each step holds
+    step = verify_claim(ClaimId.THM1_VS_LEMMA1, Budget(n_max=5, k_max=2))
+    step = [r for r in step if r.variant == "gmode=corrected"]
     ok &= len(step) == 2198 and all(r.verdict == "match" for r in step)
     details.append(f"expansion {len(step)}")
 
-    step = verify_claim(ClaimId.LEMMA7_VS_THM2, Budget(n_max=4, k_max=3), options=[CC, PC])
+    step = verify_claim(ClaimId.LEMMA7_VS_THM2, Budget(n_max=4, k_max=3))
+    step = [r for r in step if r.variant.endswith("/index=corrected")]
     ok &= len(step) == 450 and all(r.verdict == "match" for r in step)
     details.append(f"substitution {len(step)}")
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from kmatchlab.cli import main
+from kmatchlab.coeffs import MAX_GPRIME_K
 from kmatchlab.harness import report_from_json
 
 
@@ -210,14 +211,38 @@ def test_mismatches_still_exit_0(capsys):
     assert rep.summary["END_TO_END"]["mismatch"] > 0
 
 
-def test_broken_pipe_exits_1():
-    # Run the CLI from the interpreter and source tree under test, so no
-    # installed `kmatch` script is needed.
+def _cli_env():
+    """The environment that runs the CLI from the interpreter and source tree
+    under test, so no installed `kmatch` script is needed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--graph", "gen:complete:40", "--k", "4", "--what", "rooks"],
+        ["coeffs", "--k", str(MAX_GPRIME_K + 1)],
+    ],
+    ids=["rooks-K40", "coeffs-past-guard"],
+)
+def test_guards_refuse_before_work_exit_2(argv):
+    # a guard refuses at once with exit 2 and one error line, no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "kmatchlab.cli", *argv], capture_output=True,
+        text=True, timeout=20, env=_cli_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_broken_pipe_exits_1():
+    env = _cli_env()
     # Buffered stdout, as it is by default.
     env.pop("PYTHONUNBUFFERED", None)
     script = (

@@ -10,6 +10,7 @@ values and against its closed form.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -21,7 +22,7 @@ from kmatchlab.coeffs import compute_f, compute_f_types, compute_gprime
 from kmatchlab.errors import CapacityError
 from kmatchlab.exact import falling_factorial
 from kmatchlab.oracle import injection_sum
-from kmatchlab.partitions import MAX_ENUM_M, bell, enumerate_partitions
+from kmatchlab.partitions import MAX_ENUM_M, enumerate_partitions
 
 
 def _falling_poly_coeffs(k):
@@ -51,6 +52,40 @@ def test_gprime_frozen_rows():
     assert compute_gprime(3, "paper") == {1: -2, 2: -1, 3: 1}
     assert compute_gprime(3, "corrected") == {1: 2, 2: -3, 3: 1}
     assert compute_gprime(4, "corrected") == {1: -6, 2: 11, 3: -6, 4: 1}
+
+
+def _fresh_gprime_table(monkeypatch):
+    """Swap in a g' table holding only the two base rows of each mode."""
+    fresh = {mode: rows[:2] for mode, rows in coeffs._GPRIME_ROWS.items()}
+    monkeypatch.setattr(coeffs, "_GPRIME_ROWS", fresh)
+    return fresh
+
+
+def test_gprime_guard_fires_before_any_row_is_built(monkeypatch):
+    fresh = _fresh_gprime_table(monkeypatch)
+    k = coeffs.MAX_GPRIME_K + 1
+    with pytest.raises(CapacityError, match=f"k={k} > {coeffs.MAX_GPRIME_K}"):
+        compute_gprime(k, "paper")
+    assert {mode: len(rows) for mode, rows in fresh.items()} == {"paper": 2, "corrected": 2}
+
+
+def test_gprime_rows_are_built_forward_in_a_loop(monkeypatch):
+    # row 300 from the base rows, with room for 100 frames above this one:
+    # a recursion of one frame per row would overflow it
+    fresh = _fresh_gprime_table(monkeypatch)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        row = compute_gprime(300, "corrected")
+    finally:
+        sys.setrecursionlimit(limit)
+    ref = _falling_poly_coeffs(300)
+    assert row == {l: ref[l] for l in range(1, 301)}
+    assert len(fresh["corrected"]) == 300 and len(fresh["paper"]) == 2
+    assert compute_gprime(299, "corrected") is fresh["corrected"][298]
 
 
 @pytest.mark.parametrize("mode", ["paper", "corrected"])
@@ -137,7 +172,7 @@ def test_f_is_unique_solution_of_identity(m):
     parts = list(enumerate_partitions(m))
     rng = random.Random(f"fit:{m}")
     rows, rhs = [], []
-    for _ in range(3 * bell(m) + 10):
+    for _ in range(3 * len(parts) + 10):
         n = rng.choice([m, m + 1])
         X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
         rows.append([_basis_eval(X, pi) for pi in parts])

@@ -12,27 +12,25 @@ from kmatchlab.graph import (
     degree_vector,
     encode_graph6,
     enumerate_all_graphs,
-    format_edge_list,
     from_edge_list,
     generate,
     graph_from_mask,
     parse_edge_list_text,
     parse_graph6,
 )
-from kmatchlab.oracle import count_k_matchings
+from kmatchlab.oracle import count_k_matchings, count_rook_placements
 
 
 def test_from_edge_list_basic():
     g = from_edge_list(3, [(1, 2), (2, 3)])
     assert g.n == 3
     assert g.adj == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
-    assert g.edges() == [(1, 2), (2, 3)]
-    assert g.edge_count() == 2
+    assert g.pairs == ((0, 1), (1, 2))
 
 
 def test_from_edge_list_collapses_duplicates():
     g = from_edge_list(3, [(1, 2), (2, 1), (1, 2)])
-    assert g.edge_count() == 1
+    assert g.pairs == ((0, 1),)
 
 
 @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 4)], [(2, 2)]])
@@ -42,10 +40,10 @@ def test_from_edge_list_rejects(edges):
 
 
 def test_generators():
-    assert generate("path", 4).edges() == [(1, 2), (2, 3), (3, 4)]
-    assert generate("cycle", 4).edges() == [(1, 2), (1, 4), (2, 3), (3, 4)]
-    assert generate("complete", 4).edge_count() == 6
-    assert generate("path", 1).edge_count() == 0
+    assert generate("path", 4).pairs == ((0, 1), (1, 2), (2, 3))
+    assert generate("cycle", 4).pairs == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert len(generate("complete", 4).pairs) == 6
+    assert generate("path", 1).pairs == ()
     with pytest.raises(ValueError):
         generate("cycle", 2)
     with pytest.raises(ValueError):
@@ -62,8 +60,8 @@ def test_random_graph_deterministic():
     c = generate("random", 12, p=0.4, seed=8)
     assert a.adj == b.adj
     assert a.adj != c.adj  # astronomically unlikely to collide
-    assert generate("random", 10, p=0.0).edge_count() == 0
-    assert generate("random", 10, p=1.0).edge_count() == 45
+    assert len(generate("random", 10, p=0.0).pairs) == 0
+    assert len(generate("random", 10, p=1.0).pairs) == 45
 
 
 @pytest.mark.parametrize("n, p, seed", [
@@ -84,7 +82,7 @@ def test_degree_vector():
     assert degree_vector(generate("path", 3)) == (1, 2, 1)
     assert degree_vector(generate("cycle", 4)) == (2, 2, 2, 2)
     g = generate("random", 9, p=0.5, seed=3)
-    assert sum(degree_vector(g)) == 2 * g.edge_count()
+    assert sum(degree_vector(g)) == 2 * len(g.pairs)
 
 
 def test_degrees_are_summed_once_per_graph():
@@ -105,7 +103,7 @@ def test_degree_counts_are_the_degree_histogram(g):
     assert [d for d, _ in counts] == sorted({*g.degrees})
     assert all(c == g.degrees.count(d) for d, c in counts)
     assert sum(c for _, c in counts) == g.n
-    assert sum(c * d for d, c in counts) == 2 * g.edge_count()
+    assert sum(c * d for d, c in counts) == 2 * len(g.pairs)
 
 
 def test_degree_counts_are_built_once_per_graph():
@@ -119,34 +117,26 @@ def test_degree_counts_are_built_once_per_graph():
     assert restored == g and restored.degree_counts == g.degree_counts
 
 
-def test_edge_pairs_are_built_once_per_graph():
-    g = generate("cycle", 4)
-    assert g.edge_pairs is g.edge_pairs
-    assert g.edge_pairs == ((1, 2), (1, 4), (2, 3), (3, 4))
-    # edges() hands out a fresh list, so a caller's edits never reach the cache
-    es = g.edges()
-    es.clear()
-    assert g.edges() == list(g.edge_pairs) and len(g.edge_pairs) == 4
-
-
 def _dense(g):
-    """The symmetric 0/1 matrix of g, built here from its 1-based edge list."""
+    """The symmetric 0/1 matrix of g, built here from its edge pairs."""
     rows = [[0] * g.n for _ in range(g.n)]
-    for a, b in g.edges():
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = 1
+    for i, j in g.pairs:
+        rows[i][j] = rows[j][i] = 1
     return tuple(tuple(r) for r in rows)
 
 
 def test_adjacency_matrix_is_built_only_when_read():
     big = generate("random", 2000, p=0.01, seed=2)
-    big.degree_counts, big.edge_count(), fast_count(big, 9)
+    big.degree_counts, fast_count(big, 9)
     with pytest.raises(ValueError):
         encode_graph6(big)
     with pytest.raises(CapacityError):
         count_k_matchings(big, 3)
+    with pytest.raises(CapacityError):
+        count_rook_placements(big, 2)
     assert "adj" not in vars(big)
     small = generate("random", 10, p=0.3, seed=1)
-    encode_graph6(small), format_edge_list(small), count_k_matchings(small, 3), fast_count(small, 3)
+    encode_graph6(small), count_k_matchings(small, 3), count_rook_placements(small, 3), fast_count(small, 3)
     assert "adj" not in vars(small)
     assert small.adj == _dense(small) and "adj" in vars(small)
 
@@ -171,7 +161,8 @@ def test_adjacency_matrix_is_the_dense_form_of_the_edges(g):
 def test_every_constructor_gives_one_canonical_order():
     for n in range(1, 6):
         for g in enumerate_all_graphs(n):
-            for other in (from_edge_list(n, list(reversed(g.edges()))), parse_graph6(encode_graph6(g))):
+            flipped = [(j + 1, i + 1) for i, j in reversed(g.pairs)]
+            for other in (from_edge_list(n, flipped), parse_graph6(encode_graph6(g))):
                 assert other == g and hash(other) == hash(g)
 
 
@@ -250,7 +241,8 @@ def test_graph6_errors(text, offset):
 
 def test_edge_list_text_round_trip():
     g = generate("random", 6, p=0.5, seed=1)
-    assert parse_edge_list_text(format_edge_list(g)).adj == g.adj
+    text = f"{g.n} {len(g.pairs)}\n" + "".join(f"{i + 1} {j + 1}\n" for i, j in g.pairs)
+    assert parse_edge_list_text(text) == g
     assert parse_edge_list_text("2 1\n1 2\n").adj == ((0, 1), (1, 0))
 
 

@@ -30,8 +30,6 @@ from kmatchlab.harness import (
 )
 from kmatchlab.oracle import count_k_matchings
 
-CC = FastCountOptions("corrected", "corrected")
-
 
 def _written(report, format):
     buf = io.StringIO()
@@ -114,9 +112,11 @@ def test_thm1_vs_lemma1_corrected_clean_paper_not():
 
 
 def test_chain_is_sorted_and_respects_options_subset():
-    recs = verify_claim(ClaimId.THM3_VS_LEMMA7, Budget(n_max=3, k_max=2), options=[CC])
+    # every claim that reads the index convention walks the whole matrix
+    recs = verify_claim(ClaimId.THM3_VS_LEMMA7, Budget(n_max=3, k_max=2))
     assert recs == sorted(recs, key=lambda r: (r.claim.value, r.instance))
-    assert all(r.instance.endswith("gmode=corrected/index=corrected") for r in recs)
+    variants = {f"gmode={o.gmode}/index={o.index_convention}" for o in OPTIONS_MATRIX}
+    assert {r.variant for r in recs} == variants and len(variants) == 4
     assert _counts(recs)[1] == 0
 
 

@@ -17,6 +17,7 @@ from kmatchlab.errors import CapacityError
 from kmatchlab.exact import falling_factorial
 from kmatchlab.graph import Graph, enumerate_all_graphs, from_edge_list, generate
 from kmatchlab.oracle import (
+    MAX_MATCH_EDGES,
     arrangement_sum,
     count_k_directed_matchings,
     count_k_matchings,
@@ -31,7 +32,7 @@ from kmatchlab.oracle import (
 def _matchings_by_edge_subsets(g: Graph, k: int) -> int:
     """Slow independent count: scan all k-subsets of edges for disjointness."""
     total = 0
-    for combo in combinations(g.edges(), k):
+    for combo in combinations(g.pairs, k):
         seen = set()
         for a, b in combo:
             seen.add(a)
@@ -73,6 +74,20 @@ def test_rook_placements_frozen(p3, k4):
     assert count_rook_placements(k4, 1) == 12
     assert count_rook_placements(p3, 0) == 1
     assert count_rook_placements(p3, 4) == 0
+
+
+def test_rook_guard_refuses_many_edges_before_building_adj():
+    # beyond MAX_ROOK_N vertices the edge count is bounded too, whatever k
+    k40 = generate("complete", 40)
+    with pytest.raises(CapacityError, match="n=40, k=4, 780 edges"):
+        count_rook_placements(k40, 4)
+    assert "adj" not in vars(k40)
+    edges = list(combinations(range(1, 13), 2))  # K12, 66 edges
+    at_bound = from_edge_list(12, edges[:MAX_MATCH_EDGES])
+    assert count_rook_placements(at_bound, 1) == 2 * MAX_MATCH_EDGES
+    assert "adj" not in vars(at_bound)
+    with pytest.raises(CapacityError):
+        count_rook_placements(from_edge_list(12, edges[:MAX_MATCH_EDGES + 1]), 1)
 
 
 def test_lemma1_equals_scaled_rook_count():

@@ -5,12 +5,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kmatchlab.errors import CapacityError
-from kmatchlab.partitions import (
-    bell,
-    enumerate_partitions,
-    partition_str,
-    stirling2,
-)
+from kmatchlab.partitions import enumerate_partitions, partition_str
+
+
+def stirling2(m, q):
+    """Reference S(m, q) by the recurrence S(m,q) = q·S(m-1,q) + S(m-1,q-1)."""
+    if m < 0 or q < 0:
+        raise ValueError(f"negative arguments m={m}, q={q}")
+    if m == 0:
+        return 1 if q == 0 else 0
+    if q == 0 or q > m:
+        return 0
+    return q * stirling2(m - 1, q) + stirling2(m - 1, q - 1)
+
+
+def bell(m):
+    """Reference B_m = sum over q of S(m, q)."""
+    if m < 0:
+        raise ValueError(f"negative argument m={m}")
+    return sum(stirling2(m, q) for q in range(m + 1))
 
 
 def _partitions_by_insertion(m):
