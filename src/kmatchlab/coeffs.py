@@ -10,7 +10,7 @@ recursion, cached, and returned as the cached mapping itself:
   corrected mode row k equals the coefficient vector of the falling
   factorial s(s-1)...(s-k+1) expanded in powers of s.  Rows are built
   forward from the highest cached row, up to ``MAX_GPRIME_K``, checked
-  before any row is built.
+  before any row is built; only rows k <= ``GPRIME_CACHED_K`` are cached.
 
 * ``compute_f(m)`` - an integer weight per set partition of {1..m}, in
   ``enumerate_partitions`` order, defined by deleting the largest element:
@@ -41,12 +41,17 @@ from .partitions import MAX_ENUM_M, Partition, grow
 
 GMODES = ("paper", "corrected")
 
-# rows 1..k stay cached, about k^3 in memory: 274 MB of peak RSS for
-# `kmatch coeffs --k 1000`; the formula and the referees need k <= 30
+# `kmatch coeffs` prints one row up to this k; building it holds two rows,
+# about 23 MB of peak RSS for `kmatch coeffs --k 1000`
 MAX_GPRIME_K = 1000
 
-# per mode, rows 1..K built so far, row k at position k-1; row k depends
-# only on row k-1, and rows 1 and 2 are the base
+# the formula and the referees read no row past this one, so no higher row
+# is cached: it is built from the top cached row holding only the row
+# before it, since row k depends only on row k-1
+GPRIME_CACHED_K = 30
+
+# per mode, rows 1..K cached so far, K <= GPRIME_CACHED_K, row k at
+# position k-1; rows 1 and 2 are the base
 _GPRIME_ROWS: dict[str, list[Mapping[int, int]]] = {
     "paper": [MappingProxyType({1: 1}), MappingProxyType({1: 1, 2: 1})],
     "corrected": [MappingProxyType({1: 1}), MappingProxyType({1: -1, 2: 1})],
@@ -62,14 +67,18 @@ def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
     if k > MAX_GPRIME_K:
         raise CapacityError(f"g' table refused: k={k} > {MAX_GPRIME_K}")
     rows = _GPRIME_ROWS[mode]
+    if k <= len(rows):
+        return rows[k - 1]
+    prev = rows[-1]
     for level in range(len(rows) + 1, k + 1):
-        prev = rows[-1]
         row = {1: -(level - 1) * prev[1]}
         for l in range(2, level):
             row[l] = prev[l - 1] - (level - 1) * prev[l]
         row[level] = prev[level - 1]
-        rows.append(MappingProxyType(row))
-    return rows[k - 1]
+        prev = MappingProxyType(row)
+        if level <= GPRIME_CACHED_K:
+            rows.append(prev)
+    return prev
 
 
 # level m holds the partitions of exactly {1..m} and depends only on level

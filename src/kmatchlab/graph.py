@@ -1,14 +1,15 @@
-"""Simple undirected graphs as sorted edge lists.
+"""Simple undirected graphs as forward-neighbour rows.
 
-A graph stores its vertex count and its edges as 0-based pairs (i, j) with
-i < j in row-major order, so two graphs are equal, and hash alike, exactly
-when their vertex counts and edge sets are.  The pairs are the one edge
-representation; everything else is derived from them on first read and
-cached: degrees, the degree histogram, and the symmetric 0/1 adjacency
-matrix, which only the literal referees read.  Vertices are labeled 1..n in
-the external inputs (edge lists, edge-list text, error messages).  Graphs
-are immutable after construction and are built through the constructors
-below, never from a matrix.
+A graph stores its vertex count and, per 0-based vertex i, the ascending
+tuple of its neighbours j > i.  Read row by row, the rows list the edges
+(i, j), i < j, in row-major order, so two graphs are equal, and hash alike,
+exactly when their vertex counts and edge sets are.  The rows are the one
+edge representation, with no tuple per edge; everything else is derived
+from them on first read and cached: degrees, the degree histogram, and the
+symmetric 0/1 adjacency matrix, which only the literal referees read.
+Vertices are labeled 1..n in the external inputs (edge lists, edge-list
+text, error messages).  Graphs are immutable after construction and are
+built through the constructors below, never from a matrix.
 
 Supported external formats:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator
 import random
 
@@ -32,26 +33,27 @@ MAX_ENUM_N = 7  # 2^21 labeled graphs at n=7; enumeration refuses beyond this
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph: vertex count ``n`` and 0-based edge ``pairs`` (i < j), row-major."""
+    """Simple graph: vertex count ``n`` and ``rows[i]``, the ascending neighbours j > i of i."""
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Symmetric 0/1 adjacency matrix, built on first read (n*n cells)."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for i, j in self.pairs:
-            rows[i][j] = rows[j][i] = 1
-        return tuple(map(tuple, rows))
+        mat = [[0] * self.n for _ in range(self.n)]
+        for i, row in enumerate(self.rows):
+            for j in row:
+                mat[i][j] = mat[j][i] = 1
+        return tuple(map(tuple, mat))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        """Vertex degrees, counted once per graph from the edge pairs."""
-        deg = [0] * self.n
-        for i, j in self.pairs:
-            deg[i] += 1
-            deg[j] += 1
+        """Vertex degrees, counted once per graph: row lengths, plus one per edge's later end."""
+        deg = list(map(len, self.rows))
+        for row in self.rows:
+            for j in row:
+                deg[j] += 1
         return tuple(deg)
 
     @cached_property
@@ -67,15 +69,14 @@ def from_edge_list(n: int, edges: list[tuple[int, int]]) -> Graph:
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    edge_set: set[tuple[int, int]] = set()
+    rows: list[set[int]] = [set() for _ in range(n)]
     for a, b in edges:
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"edge ({a},{b}) out of range for n={n}")
         if a == b:
             raise ValueError(f"self-loop ({a},{b}) not allowed")
-        i, j = a - 1, b - 1
-        edge_set.add((min(i, j), max(i, j)))
-    return Graph(n, tuple(sorted(edge_set)))
+        rows[min(a, b) - 1].add(max(a, b) - 1)
+    return Graph(n, tuple(tuple(sorted(row)) for row in rows))
 
 
 def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
@@ -99,10 +100,9 @@ def generate(kind: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError(f"random graph needs edge probability p in [0,1], got {p}")
         r = random.Random(seed).random
-        vertices = list(range(n))  # one int object per vertex, shared by its pairs
-        # one row of coins at a time, keeping only the pairs drawn
-        rows = ([(i, j) for j in vertices[i + 1:] if r() < p] for i in vertices)
-        return Graph(n, tuple(chain.from_iterable(rows)))
+        vertices = list(range(n))  # one int object per vertex, shared by its rows
+        # one row of coins at a time, keeping only the neighbours drawn
+        return Graph(n, tuple(tuple([j for j in vertices[i + 1:] if r() < p]) for i in vertices))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
@@ -121,22 +121,28 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_ENUM_N:
         raise CapacityError(f"refusing to enumerate 2^{n * (n - 1) // 2} graphs (n={n} > {MAX_ENUM_N})")
-    for mask in range(1 << len(_mask_pairs(n))):
+    for mask in range(1 << n * (n - 1) // 2):
         yield graph_from_mask(n, mask)
 
 
 @lru_cache(maxsize=MAX_ENUM_N)
-def _mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """0-based pairs (i, j), i < j, in row-major order: bit i of a mask is pair i."""
-    return tuple(combinations(range(n), 2))
+def _mask_rows(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """Per vertex i, (offset of its n-1-i bits in a mask, rows): bit b of that
+    field selects j = i+1+b, and rows[v] is the shared row for field value v."""
+    return tuple(
+        (i * (2 * n - i - 1) // 2,  # the fields of rows 0..i-1 come first
+         tuple(tuple(j for j in range(i + 1, n) if v >> (j - i - 1) & 1) for v in range(1 << (n - 1 - i))))
+        for i in range(n)
+    )
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph at position ``mask`` of the enumerate_all_graphs(n) stream."""
-    pairs = _mask_pairs(n)
-    if not 0 <= mask < 1 << len(pairs):
+    if n > MAX_ENUM_N:
+        raise CapacityError(f"mask rows refused: n={n} > {MAX_ENUM_N}")
+    if not 0 <= mask < 1 << n * (n - 1) // 2:
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return Graph(n, tuple(pair for i, pair in enumerate(pairs) if mask >> i & 1))
+    return Graph(n, tuple(rows[mask >> off & len(rows) - 1] for off, rows in _mask_rows(n)))
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -172,25 +178,22 @@ def parse_graph6(text: str) -> Graph:
     if any(bits[nbits:]):
         raise Graph6ParseError("nonzero padding bits", len(raw) - 1)
     # bit order: column-major upper triangle (0,1), (0,2), (1,2), (0,3), ...
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    return Graph(n, tuple(sorted(pair for pair, bit in zip(pairs, bits) if bit)))
+    rows = (tuple(j for j in range(i + 1, n) if bits[j * (j - 1) // 2 + i]) for i in range(n))
+    return Graph(n, tuple(rows))
 
 
 def encode_graph6(g: Graph) -> str:
     """Inverse serializer for :func:`parse_graph6`."""
     if g.n > 62:
         raise ValueError(f"graph6 single-byte order limited to n <= 62, got {g.n}")
-    # bit j(j-1)/2 + i is pair (i, j), column-major; padded to whole bytes
-    bits = [0] * ((g.n * (g.n - 1) // 2 + 5) // 6 * 6)
-    for i, j in g.pairs:
-        bits[j * (j - 1) // 2 + i] = 1
-    out = [chr(g.n + 63)]
-    for off in range(0, len(bits), 6):
-        val = 0
-        for b in bits[off:off + 6]:
-            val = val << 1 | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    # bit j(j-1)/2 + i is pair (i, j), column-major, padded to whole bytes;
+    # bit 0 is the highest of the nbits-bit integer x, read 6 bits at a time
+    nbits = (g.n * (g.n - 1) // 2 + 5) // 6 * 6
+    x = 0
+    for i, row in enumerate(g.rows):
+        for j in row:
+            x |= 1 << (nbits - 1 - j * (j - 1) // 2 - i)
+    return chr(g.n + 63) + "".join([chr((x >> off & 63) + 63) for off in range(nbits - 6, -1, -6)])
 
 
 # -- edge-list text ----------------------------------------------------------

@@ -58,44 +58,40 @@ def _count_disjoint(masks: list[int], k: int) -> int:
     return rec(masks, k)
 
 
-def count_k_matchings(g: Graph, k: int) -> int:
-    """N(k): sets of k pairwise vertex-disjoint edges; N(0) = 1."""
+def _edge_masks(g: Graph, k: int, what: str) -> list[int]:
+    """Endpoint bitmasks of g's edges, row-major, once the matching guard passes."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    pairs = g.pairs
-    if len(pairs) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
+    m = sum(map(len, g.rows))
+    if m > MAX_MATCH_EDGES or k > MAX_MATCH_K:
         raise CapacityError(
-            f"matching enumeration refused: {len(pairs)} edges, k={k} "
+            f"{what} enumeration refused: {m} edges, k={k} "
             f"(limits: {MAX_MATCH_EDGES} edges, k <= {MAX_MATCH_K})"
         )
-    masks = [1 << i | 1 << j for i, j in pairs]
-    return _count_disjoint(masks, k)
+    # empty rows, common in small graphs, are cheaper skipped than iterated
+    return [1 << i | 1 << j for i, row in enumerate(g.rows) if row for j in row]
+
+
+def count_k_matchings(g: Graph, k: int) -> int:
+    """N(k): sets of k pairwise vertex-disjoint edges; N(0) = 1."""
+    return _count_disjoint(_edge_masks(g, k, "matching"), k)
 
 
 def count_k_directed_matchings(g: Graph, k: int) -> int:
     """Sets of k directed edges whose 2k endpoints are all distinct."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    pairs = g.pairs
-    if len(pairs) > MAX_MATCH_EDGES or k > MAX_MATCH_K:
-        raise CapacityError(
-            f"directed matching enumeration refused: {len(pairs)} edges, k={k} "
-            f"(limits: {MAX_MATCH_EDGES} edges, k <= {MAX_MATCH_K})"
-        )
     # both orientations of an edge carry the same endpoint mask
-    masks = [1 << i | 1 << j for i, j in pairs for _ in range(2)]
-    return _count_disjoint(masks, k)
+    return _count_disjoint([x for x in _edge_masks(g, k, "directed matching") for _ in range(2)], k)
 
 
 def count_rook_placements(g: Graph, k: int) -> int:
     """k-subsets of the 1-entries of adj with distinct rows and distinct columns.
 
-    The 1-entries are read from the edge pairs, (i, j) and (j, i) per edge,
-    so the n x n matrix is never built.
+    The 1-entries are read from the forward-neighbour rows, (i, j) and
+    (j, i) per edge j in row i, so the n x n matrix is never built.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    n, m = g.n, len(g.pairs)
+    n, m = g.n, sum(map(len, g.rows))
     if n > MAX_ROOK_N and (k > MAX_ROOK_K or m > MAX_MATCH_EDGES):
         raise CapacityError(
             f"rook enumeration refused: n={n}, k={k}, {m} edges "
@@ -103,7 +99,7 @@ def count_rook_placements(g: Graph, k: int) -> int:
         )
     if k > n:
         return 0  # k distinct rows cannot exist
-    masks = [1 << i | 1 << (n + j) for a, b in g.pairs for i, j in ((a, b), (b, a))]
+    masks = [1 << a | 1 << (n + b) for i, row in enumerate(g.rows) for j in row for a, b in ((i, j), (j, i))]
     return _count_disjoint(masks, k)
 
 

@@ -84,8 +84,18 @@ def test_gprime_rows_are_built_forward_in_a_loop(monkeypatch):
         sys.setrecursionlimit(limit)
     ref = _falling_poly_coeffs(300)
     assert row == {l: ref[l] for l in range(1, 301)}
-    assert len(fresh["corrected"]) == 300 and len(fresh["paper"]) == 2
-    assert compute_gprime(299, "corrected") is fresh["corrected"][298]
+    assert len(fresh["corrected"]) == coeffs.GPRIME_CACHED_K and len(fresh["paper"]) == 2
+    assert compute_gprime(30, "corrected") is fresh["corrected"][29]
+
+
+def test_gprime_cache_holds_no_row_past_the_formulas(monkeypatch):
+    # rows past GPRIME_CACHED_K are built from the top cached row and dropped
+    fresh = _fresh_gprime_table(monkeypatch)
+    ref = _falling_poly_coeffs(500)
+    assert compute_gprime(500, "corrected") == {l: ref[l] for l in range(1, 501)}
+    assert len(compute_gprime(500, "paper")) == 500
+    assert {mode: len(rows) for mode, rows in fresh.items()} == {"paper": 30, "corrected": 30}
+    assert compute_gprime(29, "paper") is fresh["paper"][28]
 
 
 @pytest.mark.parametrize("mode", ["paper", "corrected"])

@@ -86,7 +86,7 @@ def test_k1_collapses_to_edge_count():
     for n in range(1, 6):
         for g in enumerate_all_graphs(n):
             for opts in ALL_OPTIONS:
-                assert fast_count(g, 1, opts).value == len(g.pairs)
+                assert fast_count(g, 1, opts).value == sum(map(len, g.rows))
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**15 - 1))
@@ -94,7 +94,7 @@ def test_k1_collapses_to_edge_count():
 def test_k1_collapses_on_random_masks(n, mask):
     pairs = n * (n - 1) // 2
     g = graph_from_mask(n, mask % 2**pairs)
-    assert fast_count(g, 1).value == len(g.pairs)
+    assert fast_count(g, 1).value == sum(map(len, g.rows))
 
 
 def test_power_sum_examples(c4, p3):

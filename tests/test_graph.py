@@ -1,13 +1,16 @@
 import pickle
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmatchlab.errors import CapacityError, Graph6ParseError
 from kmatchlab.fastcount import fast_count
 from kmatchlab.graph import (
+    MAX_ENUM_N,
     Graph,
     degree_vector,
     encode_graph6,
@@ -21,16 +24,21 @@ from kmatchlab.graph import (
 from kmatchlab.oracle import count_k_matchings, count_rook_placements
 
 
+def _pairs(g):
+    """The edges of g as 0-based pairs (i, j), i < j, in row-major order, read from its rows."""
+    return tuple((i, j) for i, row in enumerate(g.rows) for j in row)
+
+
 def test_from_edge_list_basic():
     g = from_edge_list(3, [(1, 2), (2, 3)])
     assert g.n == 3
     assert g.adj == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
-    assert g.pairs == ((0, 1), (1, 2))
+    assert _pairs(g) == ((0, 1), (1, 2))
 
 
 def test_from_edge_list_collapses_duplicates():
     g = from_edge_list(3, [(1, 2), (2, 1), (1, 2)])
-    assert g.pairs == ((0, 1),)
+    assert _pairs(g) == ((0, 1),)
 
 
 @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 4)], [(2, 2)]])
@@ -40,10 +48,10 @@ def test_from_edge_list_rejects(edges):
 
 
 def test_generators():
-    assert generate("path", 4).pairs == ((0, 1), (1, 2), (2, 3))
-    assert generate("cycle", 4).pairs == ((0, 1), (0, 3), (1, 2), (2, 3))
-    assert len(generate("complete", 4).pairs) == 6
-    assert generate("path", 1).pairs == ()
+    assert _pairs(generate("path", 4)) == ((0, 1), (1, 2), (2, 3))
+    assert _pairs(generate("cycle", 4)) == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert len(_pairs(generate("complete", 4))) == 6
+    assert _pairs(generate("path", 1)) == ()
     with pytest.raises(ValueError):
         generate("cycle", 2)
     with pytest.raises(ValueError):
@@ -60,8 +68,8 @@ def test_random_graph_deterministic():
     c = generate("random", 12, p=0.4, seed=8)
     assert a.adj == b.adj
     assert a.adj != c.adj  # astronomically unlikely to collide
-    assert len(generate("random", 10, p=0.0).pairs) == 0
-    assert len(generate("random", 10, p=1.0).pairs) == 45
+    assert len(_pairs(generate("random", 10, p=0.0))) == 0
+    assert len(_pairs(generate("random", 10, p=1.0))) == 45
 
 
 @pytest.mark.parametrize("n, p, seed", [
@@ -74,7 +82,7 @@ def test_random_graph_follows_the_documented_coin_order(n, p, seed):
     rng = random.Random(seed)
     want = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
     g = generate("random", n, p=p, seed=seed)
-    assert g.pairs == want
+    assert _pairs(g) == want
     assert g == from_edge_list(n, [(i + 1, j + 1) for i, j in want])
 
 
@@ -82,7 +90,7 @@ def test_degree_vector():
     assert degree_vector(generate("path", 3)) == (1, 2, 1)
     assert degree_vector(generate("cycle", 4)) == (2, 2, 2, 2)
     g = generate("random", 9, p=0.5, seed=3)
-    assert sum(degree_vector(g)) == 2 * len(g.pairs)
+    assert sum(degree_vector(g)) == 2 * len(_pairs(g))
 
 
 def test_degrees_are_summed_once_per_graph():
@@ -103,7 +111,7 @@ def test_degree_counts_are_the_degree_histogram(g):
     assert [d for d, _ in counts] == sorted({*g.degrees})
     assert all(c == g.degrees.count(d) for d, c in counts)
     assert sum(c for _, c in counts) == g.n
-    assert sum(c * d for d, c in counts) == 2 * len(g.pairs)
+    assert sum(c * d for d, c in counts) == 2 * len(_pairs(g))
 
 
 def test_degree_counts_are_built_once_per_graph():
@@ -120,7 +128,7 @@ def test_degree_counts_are_built_once_per_graph():
 def _dense(g):
     """The symmetric 0/1 matrix of g, built here from its edge pairs."""
     rows = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.pairs:
+    for i, j in _pairs(g):
         rows[i][j] = rows[j][i] = 1
     return tuple(tuple(r) for r in rows)
 
@@ -155,15 +163,55 @@ def test_adjacency_matrix_is_built_only_when_read():
 def test_adjacency_matrix_is_the_dense_form_of_the_edges(g):
     assert g.adj == _dense(g)
     assert g.adj is g.adj
-    assert g.pairs == tuple(sorted(set(g.pairs)))
+    assert _pairs(g) == tuple(sorted(set(_pairs(g))))
 
 
 def test_every_constructor_gives_one_canonical_order():
     for n in range(1, 6):
         for g in enumerate_all_graphs(n):
-            flipped = [(j + 1, i + 1) for i, j in reversed(g.pairs)]
+            flipped = [(j + 1, i + 1) for i, j in reversed(_pairs(g))]
             for other in (from_edge_list(n, flipped), parse_graph6(encode_graph6(g))):
                 assert other == g and hash(other) == hash(g)
+
+
+@given(st.integers(1, 8), st.data(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_constructors_agree_on_random_edge_sets(n, data, rng):
+    # bit p of the mask selects the p-th pair in row-major order
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mask = data.draw(st.integers(0, (1 << len(all_pairs)) - 1))
+    edges = [pair for p, pair in enumerate(all_pairs) if mask >> p & 1]
+    listed = [(j + 1, i + 1) if rng.random() < 0.5 else (i + 1, j + 1) for i, j in edges]
+    rng.shuffle(listed)
+    g = from_edge_list(n, listed)
+    assert _pairs(g) == tuple(edges)
+    assert len(g.rows) == n
+    for i, row in enumerate(g.rows):
+        assert all(a < b for a, b in zip((i,) + row, row))
+    others = [parse_graph6(encode_graph6(g))]
+    if n <= MAX_ENUM_N:
+        others.append(graph_from_mask(n, mask))
+    else:
+        with pytest.raises(CapacityError):
+            graph_from_mask(n, mask)
+    for other in others:
+        assert other == g and hash(other) == hash(g) and other.rows == g.rows
+    want = Counter(v for e in edges for v in e)
+    assert g.degrees == tuple(want[v] for v in range(n))
+
+
+def test_large_random_graph_holds_no_tuple_per_edge():
+    # G(5000, 0.01) has about 125,000 edges: one (i, j) tuple per edge held
+    # 8.1 MB, the rows hold about 1.4 MB
+    tracemalloc.start()
+    try:
+        g = generate("random", 5000, p=0.01, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2_000_000
+    assert fast_count(g, 9).n == 5000
+    assert "adj" not in vars(g)
 
 
 def test_graph_pickled_after_adjacency_read_equals_a_fresh_one():
@@ -241,7 +289,7 @@ def test_graph6_errors(text, offset):
 
 def test_edge_list_text_round_trip():
     g = generate("random", 6, p=0.5, seed=1)
-    text = f"{g.n} {len(g.pairs)}\n" + "".join(f"{i + 1} {j + 1}\n" for i, j in g.pairs)
+    text = f"{g.n} {len(_pairs(g))}\n" + "".join(f"{i + 1} {j + 1}\n" for i, j in _pairs(g))
     assert parse_edge_list_text(text) == g
     assert parse_edge_list_text("2 1\n1 2\n").adj == ((0, 1), (1, 0))
 

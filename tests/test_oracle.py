@@ -32,7 +32,8 @@ from kmatchlab.oracle import (
 def _matchings_by_edge_subsets(g: Graph, k: int) -> int:
     """Slow independent count: scan all k-subsets of edges for disjointness."""
     total = 0
-    for combo in combinations(g.pairs, k):
+    edges = [(i, j) for i, row in enumerate(g.rows) for j in row]
+    for combo in combinations(edges, k):
         seen = set()
         for a, b in combo:
             seen.add(a)
