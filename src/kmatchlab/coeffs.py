@@ -1,7 +1,9 @@
 """Integer coefficient tables used by the fast counting formula.
 
-Each table is one read-only mapping per level, built once by its defining
-recursion, cached, and returned as the cached mapping itself:
+Each table is one read-only mapping per level, built by its defining
+recursion.  Every f and F level, and every g' row up to ``MAX_FAST_K``, is
+built once, cached, and returned as the cached mapping itself; a g' row
+above ``MAX_FAST_K`` is rebuilt on each call and not kept:
 
 * ``compute_gprime(k, mode)`` - row k of the g' table, l -> g'_k(l) for
   1 <= l <= k, defined by a first-order recursion in k.  The k=2 base row
@@ -10,7 +12,7 @@ recursion, cached, and returned as the cached mapping itself:
   corrected mode row k equals the coefficient vector of the falling
   factorial s(s-1)...(s-k+1) expanded in powers of s.  Rows are built
   forward from the highest cached row, up to ``MAX_GPRIME_K``, checked
-  before any row is built; only rows k <= ``GPRIME_CACHED_K`` are cached.
+  before any row is built.
 
 * ``compute_f(m)`` - an integer weight per set partition of {1..m}, in
   ``enumerate_partitions`` order, defined by deleting the largest element:
@@ -45,12 +47,13 @@ GMODES = ("paper", "corrected")
 # about 23 MB of peak RSS for `kmatch coeffs --k 1000`
 MAX_GPRIME_K = 1000
 
-# the formula and the referees read no row past this one, so no higher row
-# is cached: it is built from the top cached row holding only the row
-# before it, since row k depends only on row k-1
-GPRIME_CACHED_K = 30
+# the highest k the fast formula takes: p(30) = 5,604 block-size types in
+# the largest F level.  The formula and the referees read no g' row past
+# it, so no higher row is cached: it is built from the top cached row
+# holding only the row before it, since row k depends only on row k-1
+MAX_FAST_K = 30
 
-# per mode, rows 1..K cached so far, K <= GPRIME_CACHED_K, row k at
+# per mode, rows 1..K cached so far, K <= MAX_FAST_K, row k at
 # position k-1; rows 1 and 2 are the base
 _GPRIME_ROWS: dict[str, list[Mapping[int, int]]] = {
     "paper": [MappingProxyType({1: 1}), MappingProxyType({1: 1, 2: 1})],
@@ -76,7 +79,7 @@ def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
             row[l] = prev[l - 1] - (level - 1) * prev[l]
         row[level] = prev[level - 1]
         prev = MappingProxyType(row)
-        if level <= GPRIME_CACHED_K:
+        if level <= MAX_FAST_K:
             rows.append(prev)
     return prev
 

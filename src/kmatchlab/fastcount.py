@@ -40,7 +40,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Mapping, Sequence
 
-from .coeffs import GMODES, compute_f, compute_f_types, compute_gprime
+from .coeffs import GMODES, MAX_FAST_K, compute_f, compute_f_types, compute_gprime
 from .errors import CapacityError
 from .exact import falling_factorial
 from .graph import Graph
@@ -48,7 +48,6 @@ from .partitions import Partition
 
 INDEX_CONVENTIONS = ("paper", "corrected")
 
-MAX_FAST_K = 30  # p(30) = 5,604 block-size types in the largest F level
 MAX_LEMMA7_N = 5
 # END_TO_END at its guard (every graph with n <= 7, k <= 8) needs 3,222
 # distinct (histogram, m) brackets, the n <= 6 search (151 histograms, k <= 3) 449

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 import random
@@ -125,24 +125,16 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_mask(n, mask)
 
 
-@lru_cache(maxsize=MAX_ENUM_N)
-def _mask_rows(n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """Per vertex i, (offset of its n-1-i bits in a mask, rows): bit b of that
-    field selects j = i+1+b, and rows[v] is the shared row for field value v."""
-    return tuple(
-        (i * (2 * n - i - 1) // 2,  # the fields of rows 0..i-1 come first
-         tuple(tuple(j for j in range(i + 1, n) if v >> (j - i - 1) & 1) for v in range(1 << (n - 1 - i))))
-        for i in range(n)
-    )
-
-
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph at position ``mask`` of the enumerate_all_graphs(n) stream."""
-    if n > MAX_ENUM_N:
-        raise CapacityError(f"mask rows refused: n={n} > {MAX_ENUM_N}")
     if not 0 <= mask < 1 << n * (n - 1) // 2:
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return Graph(n, tuple(rows[mask >> off & len(rows) - 1] for off, rows in _mask_rows(n)))
+    rows = []
+    for i in range(n):
+        # the low n-1-i bits are row i's: bit j-i-1 selects neighbour j
+        rows.append(tuple([j for j in range(i + 1, n) if mask >> (j - i - 1) & 1]))
+        mask >>= n - 1 - i
+    return Graph(n, tuple(rows))
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -68,8 +68,7 @@ def _edge_masks(g: Graph, k: int, what: str) -> list[int]:
             f"{what} enumeration refused: {m} edges, k={k} "
             f"(limits: {MAX_MATCH_EDGES} edges, k <= {MAX_MATCH_K})"
         )
-    # empty rows, common in small graphs, are cheaper skipped than iterated
-    return [1 << i | 1 << j for i, row in enumerate(g.rows) if row for j in row]
+    return [1 << i | 1 << j for i, row in enumerate(g.rows) for j in row]
 
 
 def count_k_matchings(g: Graph, k: int) -> int:

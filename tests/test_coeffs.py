@@ -84,12 +84,12 @@ def test_gprime_rows_are_built_forward_in_a_loop(monkeypatch):
         sys.setrecursionlimit(limit)
     ref = _falling_poly_coeffs(300)
     assert row == {l: ref[l] for l in range(1, 301)}
-    assert len(fresh["corrected"]) == coeffs.GPRIME_CACHED_K and len(fresh["paper"]) == 2
+    assert len(fresh["corrected"]) == coeffs.MAX_FAST_K and len(fresh["paper"]) == 2
     assert compute_gprime(30, "corrected") is fresh["corrected"][29]
 
 
 def test_gprime_cache_holds_no_row_past_the_formulas(monkeypatch):
-    # rows past GPRIME_CACHED_K are built from the top cached row and dropped
+    # rows past MAX_FAST_K are built from the top cached row and dropped
     fresh = _fresh_gprime_table(monkeypatch)
     ref = _falling_poly_coeffs(500)
     assert compute_gprime(500, "corrected") == {l: ref[l] for l in range(1, 501)}
