@@ -135,16 +135,17 @@ def _cmd_count(args) -> int:
     return 0
 
 
+# `oracle --what` name -> its referee, called as referee(graph, k)
+_ORACLES = {
+    "matchings": count_k_matchings,
+    "directed": count_k_directed_matchings,
+    "rooks": count_rook_placements,
+    "lemma1": lemma1_sum,
+}
+
+
 def _cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
-    if args.what == "matchings":
-        print(count_k_matchings(g, args.k))
-    elif args.what == "directed":
-        print(count_k_directed_matchings(g, args.k))
-    elif args.what == "rooks":
-        print(count_rook_placements(g, args.k))
-    else:
-        print(rat_str(lemma1_sum(g, args.k)))
+    print(rat_str(_ORACLES[args.what](_load_graph(args.graph), args.k)))
     return 0
 
 
@@ -191,11 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force counts on one graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--what",
-        choices=["matchings", "directed", "rooks", "lemma1"],
-        default="matchings",
-    )
+    p.add_argument("--what", choices=list(_ORACLES), default="matchings")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("coeffs", help="dump coefficient tables as JSON")

@@ -49,8 +49,8 @@ from .partitions import Partition
 INDEX_CONVENTIONS = ("paper", "corrected")
 
 MAX_LEMMA7_N = 5
-# END_TO_END at its guard (every graph with n <= 7, k <= 8) needs 3,222
-# distinct (histogram, m) brackets, the n <= 6 search (151 histograms, k <= 3) 449
+# END_TO_END at its guard (every graph with n <= 6, k <= 8) needs 828
+# distinct (histogram, m) brackets, the n <= 6 search at k <= 3 449
 _BRACKET_CACHE_SIZE = 4096
 
 

@@ -15,6 +15,10 @@ Supported external formats:
 
 * graph6 (standard ASCII encoding, single-byte order, n <= 62)
 * plain edge-list text (input only): first line ``n m``, then m lines ``a b``
+
+An edge mask is graph6's data bits without their padding (graph_from_mask),
+so ascending masks are graphs in ascending graph6 order, and the graph6
+parser decodes through the same function as the enumeration.
 """
 
 from __future__ import annotations
@@ -114,8 +118,8 @@ def degree_vector(g: Graph) -> tuple[int, ...]:
 def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     """Yield every labeled simple graph on n vertices exactly once.
 
-    Graphs come out in edge-bitmask order: bit i of the mask selects the i-th
-    pair in row-major order over the upper triangle.
+    Graphs come out in ascending mask order, which is ascending graph6
+    order: the graph at position i is graph_from_mask(n, i).
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
@@ -126,15 +130,22 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
-    """The graph at position ``mask`` of the enumerate_all_graphs(n) stream."""
-    if not 0 <= mask < 1 << n * (n - 1) // 2:
+    """The graph whose graph6 data bits, without padding, are ``mask``.
+
+    With N = n(n-1)/2, bit N-1-p of the mask selects the p-th pair of the
+    order (0,1), (0,2), (1,2), (0,3), ...
+    """
+    nbits = n * (n - 1) // 2
+    if not 0 <= mask < 1 << nbits:
         raise ValueError(f"mask {mask} out of range for n={n}")
-    rows = []
-    for i in range(n):
-        # the low n-1-i bits are row i's: bit j-i-1 selects neighbour j
-        rows.append(tuple([j for j in range(i + 1, n) if mask >> (j - i - 1) & 1]))
-        mask >>= n - 1 - i
-    return Graph(n, tuple(rows))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    # the p-th binary digit, high bit first, is bit N-1-p
+    digits = iter(format(mask, f"0{nbits}b"))
+    for j in range(1, n):
+        for i in range(j):
+            if next(digits) == "1":
+                rows[i].append(j)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -161,17 +172,16 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {nbytes} data bytes for n={n}, got {len(raw) - 1}", len(raw)
         )
-    bits: list[int] = []
+    x = 0
     for pos, ch in enumerate(raw[1:], start=1):
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise Graph6ParseError(f"invalid data byte {ch!r}", pos)
-        bits.extend(val >> shift & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        x = x << 6 | val
+    pad = nbytes * 6 - nbits
+    if x & (1 << pad) - 1:
         raise Graph6ParseError("nonzero padding bits", len(raw) - 1)
-    # bit order: column-major upper triangle (0,1), (0,2), (1,2), (0,3), ...
-    rows = (tuple(j for j in range(i + 1, n) if bits[j * (j - 1) // 2 + i]) for i in range(n))
-    return Graph(n, tuple(rows))
+    return graph_from_mask(n, x >> pad)
 
 
 def encode_graph6(g: Graph) -> str:

@@ -18,8 +18,8 @@ test, rhs = the reference it is supposed to equal):
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
 the walker that produces its records.  The six graph claims share one
-walker, and discrepancy_search is END_TO_END's walker behind tighter
-guards, so verification and search produce records through one code path.
+walker, and discrepancy_search is verify_claim(END_TO_END) behind the same
+guard, so verification and search produce records through one code path.
 
 Records are structured: claim, instance head, variant ("", gmode=X or
 gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
@@ -267,7 +267,8 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
     takes in each row are laid out once, when the spec is made.  Each side is
     evaluated once per (graph, k, v); a _DEGREES side once per (degree
     histogram, k, v) over the whole walk, through one memo that no other
-    side touches.  Records come out in canonical order.
+    side touches.  Graphs come in ascending graph6 order, so records come
+    out in canonical order.
     """
     reads = max(lhs_reads, rhs_reads)
     if reads == _NONE:
@@ -289,10 +290,8 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
         shared: dict = {}
         recs = []
         for n in range(1, budget.n_max + 1):
-            blocks = []  # (graph6, the graph's records)
             for g in enumerate_all_graphs(n):
                 g6 = encode_graph6(g)
-                block = []
                 for k in range(1, budget.k_max + 1):
                     head = f"n={n:02d}/g={g6}/k={k:02d}"
                     values = []
@@ -305,9 +304,7 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
                         else:
                             values.append([side(g, k, v) for v in vs])
                     lv, rv = values
-                    block.extend(_rec(claim, head, lv[li], rv[ri], variant) for variant, li, ri in plan)
-                blocks.append((g6, block))
-            recs.extend(r for _, block in sorted(blocks, key=itemgetter(0)) for r in block)
+                    recs.extend(_rec(claim, head, lv[li], rv[ri], variant) for variant, li, ri in plan)
         return recs
 
     return walk
@@ -320,7 +317,9 @@ class ClaimSpec:
     Both pairs are (n_max, k_max).  k_max doubles as the polynomial-k bound
     for LEMMA4 and as the ground-set bound m for LEMMA6/THM4_FACTORIZATION;
     LEMMA2/3 fix k=2, so their k budget is moot.  Guards are the referees'
-    own MAX_* bounds wherever one exists.
+    own MAX_* bounds wherever one exists, but for END_TO_END's n <= 6, which
+    is also the search's: at n = 7 its 2^21 graphs, every record held in
+    memory, cannot finish.
     """
 
     defaults: tuple[int, int]
@@ -350,13 +349,10 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
         lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
         lambda g, k, o: lemma7_eval(g, k, o), _OPTIONS)),
     ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _records_thm4),
-    ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(
+    ClaimId.END_TO_END: ClaimSpec((4, 2), (6, MAX_MATCH_K), _graph_walker(
         lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
         lambda g, k, _: count_k_matchings(g, k), _NONE)),
 }
-
-# discrepancy_search's guards on n_max and k_max
-MAX_SEARCH_N, MAX_SEARCH_K = 6, 3
 
 
 def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
@@ -382,18 +378,12 @@ def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[Verificat
 def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
     """fast_count vs oracle on every labeled graph up to n_max, every k, every combo.
 
-    Emits one END_TO_END record per (graph, k, options) triple, from the
-    same walker as verify_claim(END_TO_END), into one canonical report.  Its
-    guards, MAX_SEARCH_N and MAX_SEARCH_K, are tighter than the claim's, since
-    every record is held in memory; the report's text never is whole.
+    The records of verify_claim(END_TO_END) at Budget(n_max, k_max), under
+    that claim's guard, in one canonical report: one record per (graph, k,
+    options) triple, every one held in memory; the report's text never is
+    whole.
     """
-    if n_max < 1 or k_max < 1:
-        raise ValueError(f"bounds must be positive, got n_max={n_max}, k_max={k_max}")
-    if n_max > MAX_SEARCH_N or k_max > MAX_SEARCH_K:
-        raise CapacityError(f"search refused: n_max={n_max}, k_max={k_max} "
-                            f"(limits {MAX_SEARCH_N}, {MAX_SEARCH_K})")
-    claim = ClaimId.END_TO_END
-    return build_report(_SPECS[claim].walk(claim, Budget(n_max, k_max)), OPTIONS_MATRIX)
+    return build_report(verify_claim(ClaimId.END_TO_END, Budget(n_max, k_max)), OPTIONS_MATRIX)
 
 
 # -- report assembly and serialization ---------------------------------------

@@ -229,8 +229,9 @@ def _cli_env():
         ["oracle", "--graph", "gen:random:2000:0.01:1", "--k", "2", "--what", "matchings"],
         ["oracle", "--graph", "gen:random:2000:0.01:1", "--k", "2", "--what", "directed"],
         ["coeffs", "--k", str(MAX_GPRIME_K + 1)],
+        ["verify", "--claim", "END_TO_END", "--nmax", "7", "--kmax", "1"],
     ],
-    ids=["rooks-K40", "matchings-G2000", "directed-G2000", "coeffs-past-guard"],
+    ids=["rooks-K40", "matchings-G2000", "directed-G2000", "coeffs-past-guard", "verify-END_TO_END-n7"],
 )
 def test_guards_refuse_before_work_exit_2(argv):
     # a guard refuses at once with exit 2 and one error line, no traceback

@@ -176,10 +176,11 @@ def test_every_constructor_gives_one_canonical_order():
 @given(st.integers(1, 8), st.data(), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_constructors_agree_on_random_edge_sets(n, data, rng):
-    # bit p of the mask selects the p-th pair in row-major order
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mask = data.draw(st.integers(0, (1 << len(all_pairs)) - 1))
-    edges = [pair for p, pair in enumerate(all_pairs) if mask >> p & 1]
+    # bit N-1-p of the mask selects the p-th pair in graph6 order (0,1), (0,2), (1,2), ...
+    all_pairs = [(i, j) for j in range(n) for i in range(j)]
+    nbits = len(all_pairs)
+    mask = data.draw(st.integers(0, (1 << nbits) - 1))
+    edges = sorted(pair for p, pair in enumerate(all_pairs) if mask >> nbits - 1 - p & 1)
     listed = [(j + 1, i + 1) if rng.random() < 0.5 else (i + 1, j + 1) for i, j in edges]
     rng.shuffle(listed)
     g = from_edge_list(n, listed)
@@ -228,6 +229,12 @@ def test_enumerate_all_graphs_guard():
         next(enumerate_all_graphs(8))
     with pytest.raises(ValueError):
         next(enumerate_all_graphs(0))
+
+
+def test_enumeration_is_in_ascending_graph6_order():
+    for n in range(1, 7):
+        codes = [encode_graph6(g) for g in enumerate_all_graphs(n)]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_graph_from_mask_matches_enumeration():

@@ -121,7 +121,7 @@ def test_chain_is_sorted_and_respects_options_subset():
 
 
 # ClaimId order; each claim's (n_max, k_max) guard
-GUARDS = [(10, 99), (10, 99), (10, 8), (8, 6), (7, 8), (7, 8), (6, 8), (5, 8), (5, 8), (7, 5), (7, 8)]
+GUARDS = [(10, 99), (10, 99), (10, 8), (8, 6), (7, 8), (7, 8), (6, 8), (5, 8), (5, 8), (7, 5), (6, 8)]
 
 
 @pytest.mark.parametrize("claim, guard", zip(ClaimId, GUARDS), ids=[c.value for c in ClaimId])
@@ -208,7 +208,7 @@ def test_verify_all_report_golden_digest(verify_all_report, formatter, digest):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n_max, k_max", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("n_max, k_max", [(3, 2), (4, 3), (4, 8)])
 def test_search_records_are_end_to_end_records(n_max, k_max):
     # verify and search produce END_TO_END records through one code path
     assert verify_claim(ClaimId.END_TO_END, Budget(n_max, k_max)) == discrepancy_search(n_max, k_max).records
@@ -231,12 +231,11 @@ def test_search_soundness_spot_check():
 
 
 def test_search_guards():
-    n_guard, k_guard = harness.MAX_SEARCH_N, harness.MAX_SEARCH_K
-    for n_max, k_max in ((n_guard + 1, 2), (3, k_guard + 1)):
-        text = f"search refused: n_max={n_max}, k_max={k_max} (limits {n_guard}, {k_guard})"
+    # the search is refused by END_TO_END's own guard, n_max <= 6 and k_max <= 8
+    for n_max, k_max in ((7, 1), (1, 9)):
+        text = f"budget n_max={n_max}, k_max={k_max} exceeds END_TO_END guard (n_max <= 6, k_max <= 8)"
         with pytest.raises(CapacityError, match=re.escape(text)):
             discrepancy_search(n_max, k_max)
-    assert (n_guard, k_guard) == (6, 3)  # `kmatch search --nmax 6 --kmax 3` is the largest allowed
     with pytest.raises(ValueError):
         discrepancy_search(0, 1)
 
