@@ -19,10 +19,10 @@ import json
 import os
 import sys
 
-from .coeffs import compute_f, compute_gprime
+from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError, Graph6ParseError
 from .exact import rat_str
-from .fastcount import FastCountOptions, fast_count
+from .fastcount import INDEX_CONVENTIONS, FastCountOptions, fast_count
 from .graph import Graph, generate, parse_edge_list_text, parse_graph6
 from .harness import (
     OPTIONS_MATRIX,
@@ -184,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="evaluate the fast formula on one graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--gmode", choices=["paper", "corrected"], default="corrected")
-    p.add_argument("--index", choices=["paper", "corrected"], default="corrected")
+    p.add_argument("--gmode", choices=GMODES, default="corrected")
+    p.add_argument("--index", choices=INDEX_CONVENTIONS, default="corrected")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=_cmd_count)
 
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="dump coefficient tables as JSON")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--gmode", choices=["paper", "corrected"], default="corrected")
+    p.add_argument("--gmode", choices=GMODES, default="corrected")
     p.add_argument("--what", choices=["g", "f"], default="g")
     p.set_defaults(func=_cmd_coeffs)
 

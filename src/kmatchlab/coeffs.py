@@ -41,7 +41,8 @@ from typing import Mapping
 from .errors import CapacityError
 from .partitions import MAX_ENUM_M, Partition, grow
 
-GMODES = ("paper", "corrected")
+# alphabetical, which is report order: walkers emit gmode variants in it
+GMODES = ("corrected", "paper")
 
 # `kmatch coeffs` prints one row up to this k; building it holds two rows,
 # about 23 MB of peak RSS for `kmatch coeffs --k 1000`

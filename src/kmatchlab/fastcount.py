@@ -46,7 +46,8 @@ from .exact import falling_factorial
 from .graph import Graph
 from .partitions import Partition
 
-INDEX_CONVENTIONS = ("paper", "corrected")
+# alphabetical, which is report order, as coeffs.GMODES
+INDEX_CONVENTIONS = ("corrected", "paper")
 
 MAX_LEMMA7_N = 5
 # END_TO_END at its guard (every graph with n <= 6, k <= 8) needs 828

@@ -28,8 +28,10 @@ return them, int or Fraction.  The instance key is head/variant.
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
 rounded or tolerated.  Reports are canonical: records sorted by
 (claim, instance key), zero-padded numeric fields, rationals serialized
-as "p/q" strings, and byte-identical JSON from run to run.  Writers put a
-report on a text stream one chunk of records at a time.
+as "p/q" strings, and byte-identical JSON from run to run.  Every walker
+emits its records in that order as it builds them; build_report, whose
+input is public, is the one place that checks it.  Writers put a report
+on a text stream one chunk of records at a time.
 """
 
 from __future__ import annotations
@@ -43,17 +45,16 @@ from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
-from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from ._version import __version__
 from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError
 from .exact import falling_factorial, rat_str
-from .fastcount import MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
+from .fastcount import INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
 from .graph import MAX_ENUM_N, Graph, encode_graph6, enumerate_all_graphs
-from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_LEMMA1_N, MAX_MATCH_K, MAX_THEOREM1_N, MAX_THEOREM2_N,
-                     arrangement_sum, count_k_matchings, injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
+from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, arrangement_sum, count_k_matchings,
+                     injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
 from .partitions import Partition, enumerate_partitions, partition_str
 
 
@@ -108,14 +109,9 @@ class Budget:
 TRIALS = 20  # seeded random instances per n (LEMMA2) and per (m, n) (LEMMA6)
 
 
-# the full convention matrix, alphabetical: every claim that reads the
+# the full convention matrix, in report order: every claim that reads the
 # index convention, and the search, walk all four
-OPTIONS_MATRIX = (
-    FastCountOptions("corrected", "corrected"),
-    FastCountOptions("corrected", "paper"),
-    FastCountOptions("paper", "corrected"),
-    FastCountOptions("paper", "paper"),
-)
+OPTIONS_MATRIX = tuple(FastCountOptions(gm, ix) for gm in GMODES for ix in INDEX_CONVENTIONS)
 
 
 def _rec(claim: ClaimId, head: str, lhs, rhs, variant: str = "") -> VerificationRecord:
@@ -124,7 +120,8 @@ def _rec(claim: ClaimId, head: str, lhs, rhs, variant: str = "") -> Verification
 
 def _canonical(records: list[VerificationRecord]) -> list[VerificationRecord]:
     """records in (claim.value, instance) order, sorted only if they are not yet.
-    No head is a proper prefix of another in its claim, so (head, variant) is that order."""
+    No head is a proper prefix of another in its claim, so (head, variant) is that order.
+    The walkers emit that order; build_report, whose input is public, is the one caller."""
 
     def in_order(a: VerificationRecord, b: VerificationRecord) -> bool:
         if a.claim is b.claim:
@@ -147,7 +144,8 @@ def _mat(X: Sequence[Sequence[int]]) -> str:
 #
 # A walker takes (claim, budget), with the budget's n_max and k_max already
 # resolved, and returns the claim's records under every convention variant
-# the claim reads: no caller picks a subset of the convention matrix.
+# the claim reads, in canonical order: no caller picks a subset of the
+# convention matrix, and none sorts.
 # Referees are looked up as module globals at call time, never held in a
 # spec, so that rebinding one here (a tracer's wrapper, a test's
 # monkeypatch) takes effect.
@@ -164,11 +162,12 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
     def walk(claim, budget):
         recs = []
         for n in range(1, budget.n_max + 1):
-            xs = [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
+            xs = []  # the seed= heads sort before the x= heads
             for t in range(TRIALS if random_trials else 0):
                 rng = random.Random(f"L2:{budget.seed}:{n}:{t}")
                 x = tuple(rng.randint(-3, 3) for _ in range(n))
                 xs.append((f"n={n:02d}/seed={budget.seed:03d}/trial={t:02d}/x={_vec(x)}", x))
+            xs += [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
             for inst, x in xs:
                 recs.append(_rec(claim, inst, arrangement_sum(x, 2), _double_sum(x) - diagonal(x)))
         return recs
@@ -179,10 +178,10 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
 def _records_lemma4(claim, budget):
     recs = []
     k_max = budget.k_max
-    for gm in GMODES:
-        for k in range(2, k_max + 1):
-            gp = compute_gprime(k, gm)
-            for s in range(0, 9):
+    for k in range(2, k_max + 1):
+        gps = [(gm, compute_gprime(k, gm)) for gm in GMODES]
+        for s in range(0, 9):
+            for gm, gp in gps:
                 lhs = sum(gp[l] * s**l for l in range(1, k + 1))
                 recs.append(_rec(claim, f"k={k:02d}/s={s:02d}", lhs, falling_factorial(s, k), f"gmode={gm}"))
     kv_max = min(4, k_max)
@@ -238,14 +237,17 @@ def _thm4_direct(n: int, cols, pi: Partition, m: int) -> int:
 
 
 def _records_thm4(claim, budget):
+    # per m, its partitions in head order: enumeration order is not string
+    # order from m = 4 on ({1|2,3|4} comes before {1,4|2|3})
+    levels = {m: sorted(enumerate_partitions(m), key=partition_str) for m in range(1, budget.k_max + 1)}
     recs = []
     for n in range(1, budget.n_max + 1):
         for g in enumerate_all_graphs(n):
             g6 = encode_graph6(g)
             d = g.degrees
             cols = [tuple(g.adj[j][c] for j in range(n)) for c in range(n)]
-            for m in range(1, budget.k_max + 1):
-                for pi in enumerate_partitions(m):
+            for m, pis in levels.items():
+                for pi in pis:
                     inst = f"n={n:02d}/g={g6}/m={m:02d}/pi={partition_str(pi)}"
                     recs.append(_rec(claim, inst, _thm4_direct(n, cols, pi, m), partition_product(d, pi)))
     return recs
@@ -267,8 +269,8 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
     takes in each row are laid out once, when the spec is made.  Each side is
     evaluated once per (graph, k, v); a _DEGREES side once per (degree
     histogram, k, v) over the whole walk, through one memo that no other
-    side touches.  Graphs come in ascending graph6 order, so records come
-    out in canonical order.
+    side touches.  Graphs come in ascending graph6 order and variant rows
+    in report order, so records come out in canonical order, unsorted.
     """
     reads = max(lhs_reads, rhs_reads)
     if reads == _NONE:
@@ -277,7 +279,6 @@ def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
         rows = [(f"gmode={gm}", (None, gm, None, None)) for gm in GMODES]
     else:
         rows = [(f"gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in OPTIONS_MATRIX]
-    rows.sort(key=itemgetter(0))
     # per side, the distinct v it reads; per row, the position of its own v
     sides, picks = [], []
     for side, level in ((lhs, lhs_reads), (rhs, rhs_reads)):
@@ -316,10 +317,10 @@ class ClaimSpec:
 
     Both pairs are (n_max, k_max).  k_max doubles as the polynomial-k bound
     for LEMMA4 and as the ground-set bound m for LEMMA6/THM4_FACTORIZATION;
-    LEMMA2/3 fix k=2, so their k budget is moot.  Guards are the referees'
-    own MAX_* bounds wherever one exists, but for END_TO_END's n <= 6, which
-    is also the search's: at n = 7 its 2^21 graphs, every record held in
-    memory, cannot finish.
+    LEMMA2/3 fix k=2, so their k budget is moot.  A claim that walks every
+    labeled graph has graph.MAX_ENUM_N, the one bound of that walk, as its n
+    guard, whatever its referees admit per graph; other guards are the
+    referees' own MAX_* bounds.  END_TO_END's guard is also the search's.
     """
 
     defaults: tuple[int, int]
@@ -333,10 +334,10 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
     ClaimId.LEMMA3: ClaimSpec((6, 2), (MAX_ARRANGE_N, 99), _pair_walker(sum, False)),
     ClaimId.LEMMA4: ClaimSpec((8, 6), (MAX_ARRANGE_N, 8), _records_lemma4),
     ClaimId.LEMMA6: ClaimSpec((6, 4), (MAX_INJECT_N, 6), _records_lemma6),
-    ClaimId.LEMMA1_VS_ORACLE: ClaimSpec((4, 2), (MAX_LEMMA1_N, MAX_MATCH_K), _graph_walker(
+    ClaimId.LEMMA1_VS_ORACLE: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(
         lambda g, k, _: lemma1_sum(g, k), _NONE,
         lambda g, k, _: count_k_matchings(g, k), _NONE)),
-    ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_THEOREM1_N, 8), _graph_walker(
+    ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_ENUM_N, 8), _graph_walker(
         lambda g, k, gm: theorem1_eval(g, k, gm), _GMODE,
         lambda g, k, _: lemma1_sum(g, k), _NONE)),
     ClaimId.THM2_VS_THM1: ClaimSpec((4, 2), (MAX_THEOREM2_N, 8), _graph_walker(
@@ -349,7 +350,7 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
         lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
         lambda g, k, o: lemma7_eval(g, k, o), _OPTIONS)),
     ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _records_thm4),
-    ClaimId.END_TO_END: ClaimSpec((4, 2), (6, MAX_MATCH_K), _graph_walker(
+    ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(
         lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
         lambda g, k, _: count_k_matchings(g, k), _NONE)),
 }
@@ -357,7 +358,7 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
 
 def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
     """Evaluate both sides of one claim on every instance in the budget, under
-    every convention variant it reads."""
+    every convention variant it reads, in the canonical order the walker emits."""
     budget = budget or Budget()
     spec = _SPECS[claim]
     n_max = budget.n_max if budget.n_max is not None else spec.defaults[0]
@@ -370,7 +371,7 @@ def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[Verificat
             f"budget n_max={n_max}, k_max={k_max} exceeds {claim.value} "
             f"guard (n_max <= {n_guard}, k_max <= {k_guard})"
         )
-    return _canonical(spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max)))
+    return spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max))
 
 
 # -- discrepancy search ------------------------------------------------------

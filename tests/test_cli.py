@@ -230,8 +230,12 @@ def _cli_env():
         ["oracle", "--graph", "gen:random:2000:0.01:1", "--k", "2", "--what", "directed"],
         ["coeffs", "--k", str(MAX_GPRIME_K + 1)],
         ["verify", "--claim", "END_TO_END", "--nmax", "7", "--kmax", "1"],
+        ["verify", "--claim", "LEMMA1_VS_ORACLE", "--nmax", "7", "--kmax", "1"],
+        ["verify", "--claim", "THM1_VS_LEMMA1", "--nmax", "7", "--kmax", "1"],
+        ["verify", "--claim", "THM4_FACTORIZATION", "--nmax", "7", "--kmax", "1"],
     ],
-    ids=["rooks-K40", "matchings-G2000", "directed-G2000", "coeffs-past-guard", "verify-END_TO_END-n7"],
+    ids=["rooks-K40", "matchings-G2000", "directed-G2000", "coeffs-past-guard", "verify-END_TO_END-n7",
+         "verify-LEMMA1_VS_ORACLE-n7", "verify-THM1_VS_LEMMA1-n7", "verify-THM4_FACTORIZATION-n7"],
 )
 def test_guards_refuse_before_work_exit_2(argv):
     # a guard refuses at once with exit 2 and one error line, no traceback

@@ -225,10 +225,12 @@ def test_enumerate_all_graphs_counts():
 
 
 def test_enumerate_all_graphs_guard():
-    with pytest.raises(CapacityError):
-        next(enumerate_all_graphs(8))
+    # n is checked on the call itself, before any graph is made
+    for n in (7, 8):
+        with pytest.raises(CapacityError):
+            enumerate_all_graphs(n)
     with pytest.raises(ValueError):
-        next(enumerate_all_graphs(0))
+        enumerate_all_graphs(0)
 
 
 def test_enumeration_is_in_ascending_graph6_order():

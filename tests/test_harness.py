@@ -121,7 +121,7 @@ def test_chain_is_sorted_and_respects_options_subset():
 
 
 # ClaimId order; each claim's (n_max, k_max) guard
-GUARDS = [(10, 99), (10, 99), (10, 8), (8, 6), (7, 8), (7, 8), (6, 8), (5, 8), (5, 8), (7, 5), (6, 8)]
+GUARDS = [(10, 99), (10, 99), (10, 8), (8, 6), (6, 8), (6, 8), (6, 8), (5, 8), (5, 8), (6, 5), (6, 8)]
 
 
 @pytest.mark.parametrize("claim, guard", zip(ClaimId, GUARDS), ids=[c.value for c in ClaimId])
@@ -188,9 +188,30 @@ def test_search_report_golden_digest(n_max, k_max, digest):
 
 
 @pytest.fixture(scope="module")
-def verify_all_report():
-    records = [r for claim in ClaimId for r in verify_claim(claim)]
+def default_records():
+    return {claim: verify_claim(claim) for claim in ClaimId}
+
+
+@pytest.fixture(scope="module")
+def verify_all_report(default_records):
+    records = [r for recs in default_records.values() for r in recs]
     return build_report(records, OPTIONS_MATRIX)
+
+
+ORDER_CASES = [(claim, None) for claim in ClaimId] + [
+    (ClaimId.LEMMA2, Budget(n_max=10, seed=3)),
+    (ClaimId.THM4_FACTORIZATION, Budget(n_max=2, k_max=5)),
+]
+
+
+@pytest.mark.parametrize("claim, budget", ORDER_CASES,
+                         ids=[f"{c.value}-default" for c in ClaimId] + ["LEMMA2-n10-seed3", "THM4_FACTORIZATION-m5"])
+def test_verify_claim_returns_records_in_canonical_order(default_records, claim, budget):
+    # verify_claim sorts nothing: each walker must emit (claim, instance)
+    # order itself, strictly ascending, so no instance repeats either
+    recs = default_records[claim] if budget is None else verify_claim(claim, budget)
+    keys = [(r.claim.value, r.instance) for r in recs]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize(
