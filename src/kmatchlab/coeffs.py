@@ -14,15 +14,15 @@ above ``MAX_FAST_K`` is rebuilt on each call and not kept:
   forward from the highest cached row, up to ``MAX_GPRIME_K``, checked
   before any row is built.
 
-* ``compute_f(m)`` - an integer weight per set partition of {1..m}, in
-  ``enumerate_partitions`` order, defined by deleting the largest element:
-  a singleton block {m} is dropped at no cost, while removing m from a
-  larger block B multiplies by -(|B|-1).  Like F below, it is evaluated
-  forward: each f of level m-1 is pushed to the partitions that
-  ``partitions.grow`` makes from it, unchanged when m is a new singleton
-  and times -c when m joins a block of size c.  Level m has B_m entries and
-  serves the literal referees and ``kmatch coeffs --what f``; it is bounded
-  by ``partitions.MAX_ENUM_M``, checked before any level is built.
+* ``compute_f(m)`` - an integer weight per set partition of {1..m}, keyed in
+  RGS order: the keys are the enumeration of set partitions.  It is defined
+  by deleting the largest element: a singleton {m} is dropped at no cost,
+  while removing m from a larger block B multiplies by -(|B|-1).  Like F
+  below, it is evaluated forward: each f of level m-1 is pushed to the
+  partitions ``partitions.grow`` makes from it, unchanged when m is a new
+  singleton and times -c when m joins a block of size c.  Level m has B_m
+  entries; it serves the literal referees, THM4 and ``kmatch coeffs --what
+  f``, bounded by ``partitions.MAX_ENUM_M`` before any level is built.
 
 * ``compute_f_types(m)`` - F on the integer partitions of m: F(lam) is the
   sum of f over the set partitions of {1..m} whose block sizes form lam.
@@ -91,7 +91,7 @@ _F_LEVELS: dict[int, Mapping[Partition, int]] = {1: MappingProxyType({((1,),): 1
 
 
 def compute_f(m: int) -> Mapping[Partition, int]:
-    """f(pi) for every partition pi of {1..m}, in enumeration order, read-only."""
+    """f(pi) for every partition pi of {1..m}, in RGS order, read-only."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if m > MAX_ENUM_M:

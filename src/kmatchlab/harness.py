@@ -55,7 +55,7 @@ from .fastcount import INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_c
 from .graph import MAX_ENUM_N, Graph, encode_graph6, enumerate_all_graphs
 from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, arrangement_sum, count_k_matchings,
                      injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
-from .partitions import Partition, enumerate_partitions, partition_str
+from .partitions import Partition, partition_str
 
 
 class ClaimId(Enum):
@@ -223,7 +223,7 @@ def _records_lemma6(claim, budget):
     return recs
 
 
-def _thm4_direct(n: int, cols, pi: Partition, m: int) -> int:
+def _thm4_direct(n: int, adj, pi: Partition, m: int) -> int:
     """Fully nested transcription: sum over p-tuples and all j-tuples."""
     block_of = [0] * m
     for h, b in enumerate(pi):
@@ -231,25 +231,26 @@ def _thm4_direct(n: int, cols, pi: Partition, m: int) -> int:
             block_of[i - 1] = h
     total = 0
     for pt in product(range(n), repeat=len(pi)):
-        lists = [cols[pt[h]] for h in block_of]
+        # element i reads column p_h of adj, which is row p_h: adj is symmetric
+        lists = [adj[pt[h]] for h in block_of]
         total += sum(map(prod, product(*lists)))
     return total
 
 
 def _records_thm4(claim, budget):
-    # per m, its partitions in head order: enumeration order is not string
-    # order from m = 4 on ({1|2,3|4} comes before {1,4|2|3})
-    levels = {m: sorted(enumerate_partitions(m), key=partition_str) for m in range(1, budget.k_max + 1)}
+    # per m, its partitions in head order: the f table's keys list each
+    # partition once, but RGS order is not string order from m = 4 on
+    # ({1|2,3|4} comes before {1,4|2|3})
+    levels = {m: sorted(compute_f(m), key=partition_str) for m in range(1, budget.k_max + 1)}
     recs = []
     for n in range(1, budget.n_max + 1):
         for g in enumerate_all_graphs(n):
             g6 = encode_graph6(g)
             d = g.degrees
-            cols = [tuple(g.adj[j][c] for j in range(n)) for c in range(n)]
             for m, pis in levels.items():
                 for pi in pis:
                     inst = f"n={n:02d}/g={g6}/m={m:02d}/pi={partition_str(pi)}"
-                    recs.append(_rec(claim, inst, _thm4_direct(n, cols, pi, m), partition_product(d, pi)))
+                    recs.append(_rec(claim, inst, _thm4_direct(n, g.adj, pi, m), partition_product(d, pi)))
     return recs
 
 

@@ -1,4 +1,4 @@
-"""Set partitions of {1..m}: canonical form, text form, enumeration.
+"""Set partitions of {1..m}: canonical form, text form, the insertion step.
 
 A set partition is the canonical tuple of its blocks itself, for example
 ``((1, 3), (2,))``: elements ascend within each block and blocks are ordered
@@ -10,7 +10,8 @@ Level m grows from level m-1 by inserting m, the largest element: ``grow``
 joins m to each block in turn, then adds {m} as a new singleton.  Read as a
 restricted growth string (the block index of each element), that appends
 0, 1, ..., max+1 to the parent's string, so growing level m-1 in order
-yields level m in RGS-lexicographic order, already canonical.
+yields level m in RGS-lexicographic order, already canonical.  The keys of
+``coeffs.compute_f(m)``, built by this step, are that enumeration.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import CapacityError
-
-MAX_ENUM_M = 12  # B_12 ~ 4.2M partitions; enumeration refuses beyond this
+MAX_ENUM_M = 12  # B_12 ~ 4.2M partitions; the f table refuses beyond this
 
 Partition = tuple[tuple[int, ...], ...]
 
@@ -42,17 +41,3 @@ def grow(pi: Partition, m: int) -> Iterator[tuple[Partition, int]]:
     for i, b in enumerate(pi):
         yield pi[:i] + (b + (m,),) + pi[i + 1 :], len(b)
     yield pi + ((m,),), 0
-
-
-def enumerate_partitions(m: int) -> Iterator[Partition]:
-    """Every partition of {1..m} exactly once, in RGS-lexicographic order."""
-    if m < 1:
-        raise ValueError(f"ground-set size must be positive, got {m}")
-    if m > MAX_ENUM_M:
-        raise CapacityError(f"refusing to enumerate B_{m} partitions (m={m} > {MAX_ENUM_M})")
-    if m == 1:
-        yield ((1,),)
-        return
-    for pi in enumerate_partitions(m - 1):
-        for child, _ in grow(pi, m):
-            yield child

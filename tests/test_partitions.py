@@ -1,11 +1,13 @@
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kmatchlab.coeffs import compute_f
 from kmatchlab.errors import CapacityError
-from kmatchlab.partitions import enumerate_partitions, partition_str
+from kmatchlab.harness import Budget, ClaimId, verify_claim
+from kmatchlab.partitions import MAX_ENUM_M, grow, partition_str
 
 
 def stirling2(m, q):
@@ -45,26 +47,49 @@ def _partitions_by_insertion(m):
     return out
 
 
-@pytest.mark.parametrize("m", range(1, 8))
-def test_enumeration_matches_insertion_oracle(m):
-    ours = set(enumerate_partitions(m))
-    oracle = {
+def _oracle_set(m):
+    """The insertion oracle's partitions of {1..m}, each in canonical form."""
+    return {
         tuple(sorted((tuple(sorted(b)) for b in part), key=lambda b: b[0]))
         for part in _partitions_by_insertion(m)
     }
-    assert ours == oracle
-    assert len(list(enumerate_partitions(m))) == len(oracle)  # no duplicates
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_enumeration_matches_insertion_oracle(m):
+    oracle = _oracle_set(m)
+    assert set(compute_f(m)) == oracle
+    # no duplicates: the level keeps every partition that grow makes from the
+    # level below, which a repeat would have overwritten
+    made = sum(1 for pi in compute_f(m - 1) for _ in grow(pi, m)) if m > 1 else 1
+    assert len(compute_f(m)) == made == len(oracle)
+
+
+@pytest.mark.parametrize("n_max, k_max, graphs, count", [(3, 3, 11, 88), (2, 5, 3, 225)])
+def test_thm4_covers_every_partition(n_max, k_max, graphs, count):
+    # one record per (graph, m, pi): 11 graphs with n <= 3 times 1 + 2 + 5
+    # partitions, and 3 graphs with n <= 2 times B_1 + ... + B_5 = 75
+    recs = verify_claim(ClaimId.THM4_FACTORIZATION, Budget(n_max=n_max, k_max=k_max))
+    assert len(recs) == count
+    heads = defaultdict(set)
+    for r in recs:
+        graph_m, pi = r.instance.split("/pi=")
+        heads[graph_m].add(pi)
+    assert len(heads) == graphs * k_max
+    for graph_m, pis in heads.items():
+        m = int(graph_m.rsplit("/m=", 1)[1])
+        assert pis == {partition_str(p) for p in _oracle_set(m)}
 
 
 def test_enumeration_order_is_rgs_lex():
     # for m=3: 000, 001, 010, 011, 012 as block structures
-    got = [partition_str(p) for p in enumerate_partitions(3)]
+    got = [partition_str(p) for p in compute_f(3)]
     assert got == ["{1,2,3}", "{1,2|3}", "{1,3|2}", "{1|2,3}", "{1|2|3}"]
     # independent of how the partitions are built: read each one back as its
     # restricted growth string, the block index of each element
     for m in range(1, 9):
         rgss = []
-        for p in enumerate_partitions(m):
+        for p in compute_f(m):
             assert all(list(b) == sorted(b) for b in p)
             assert sorted(x for b in p for x in b) == list(range(1, m + 1))
             rgs = [0] * m
@@ -79,8 +104,8 @@ def test_enumeration_order_is_rgs_lex():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_counts_match_stirling_and_bell(m):
-    assert len(list(enumerate_partitions(m))) == bell(m)
-    by_blocks = Counter(len(p) for p in enumerate_partitions(m))
+    assert len(compute_f(m)) == bell(m)
+    by_blocks = Counter(len(p) for p in compute_f(m))
     assert by_blocks == {q: stirling2(m, q) for q in range(1, m + 1)}
 
 
@@ -101,18 +126,18 @@ def test_stirling_rejects_negative():
 
 
 def test_canonical_form_and_str():
-    assert ((1, 3), (2,), (4, 5)) in set(enumerate_partitions(5))
+    assert ((1, 3), (2,), (4, 5)) in set(compute_f(5))
     assert partition_str(((1, 3), (2,), (4, 5))) == "{1,3|2|4,5}"
 
 
 def test_enumeration_guards():
     with pytest.raises(ValueError):
-        next(enumerate_partitions(0))
+        compute_f(0)
     with pytest.raises(CapacityError):
-        next(enumerate_partitions(13))
+        compute_f(MAX_ENUM_M + 1)
 
 
 @given(st.integers(min_value=1, max_value=7))
 def test_partitions_are_hashable_keys(m):
-    seen = {p: str(p) for p in enumerate_partitions(m)}
+    seen = {p: str(p) for p in compute_f(m)}
     assert len(seen) == bell(m)
