@@ -18,7 +18,9 @@ test, rhs = the reference it is supposed to equal):
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
 the walker that produces its records.  The six graph claims share one
-walker, and discrepancy_search is verify_claim(END_TO_END) behind the same
+walker and are each a pair of named sides, one per chain referee (_oracle,
+_lemma1, _thm1, _thm2, _lemma7, _fast), whose values the walker pairs by
+position.  discrepancy_search is verify_claim(END_TO_END) behind the same
 guard, so verification and search produce records through one code path.
 
 Records are structured: claim, instance head, variant ("", gmode=X or
@@ -52,7 +54,7 @@ from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError
 from .exact import falling_factorial, rat_str
 from .fastcount import INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
-from .graph import MAX_ENUM_N, Graph, encode_graph6, enumerate_all_graphs
+from .graph import MAX_ENUM_N, encode_graph6, enumerate_all_graphs
 from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, arrangement_sum, count_k_matchings,
                      injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
 from .partitions import Partition, partition_str
@@ -254,59 +256,55 @@ def _records_thm4(claim, budget):
     return recs
 
 
-# what one side of a graph claim reads besides (graph, k): nothing, the
-# gmode, or the full options; _DEGREES reads the full options and sees the
-# graph only through its degree multiset, so graphs that share one share it
-_NONE, _GMODE, _OPTIONS, _DEGREES = range(4)
-_Side = Callable[[Graph, int, object], object]
+# The chain referees, one side each: side(g, k) looks its referee up when
+# called and returns its values in report order, one value, one per gmode of
+# GMODES or one per entry of OPTIONS_MATRIX
+def _oracle(g, k): return [count_k_matchings(g, k)]
+def _lemma1(g, k): return [lemma1_sum(g, k)]
+def _thm1(g, k): return [theorem1_eval(g, k, gm) for gm in GMODES]
+def _thm2(g, k): return [theorem2_eval(g, k, gm) for gm in GMODES]
+def _lemma7(g, k): return [lemma7_eval(g, k, o) for o in OPTIONS_MATRIX]
+def _fast(g, k): return [fast_count(g, k, o).value for o in OPTIONS_MATRIX]
 
 
-def _graph_walker(lhs: _Side, lhs_reads: int, rhs: _Side, rhs_reads: int):
-    """Compare lhs(g, k, v) with rhs(g, k, v) on every labeled graph with
-    n <= n_max and every k <= k_max, one record per variant read.
+# a graph claim's variants in report order, by its records per (graph, k)
+_VARIANTS = {len(vs): vs for vs in ([""], [f"gmode={gm}" for gm in GMODES],
+                                     [f"gmode={o.gmode}/index={o.index_convention}" for o in OPTIONS_MATRIX])}
 
-    v is None, a gmode of coeffs.GMODES or a FastCountOptions of
-    OPTIONS_MATRIX, as the side reads; the variant rows and which v each side
-    takes in each row are laid out once, when the spec is made.  Each side is
-    evaluated once per (graph, k, v); a _DEGREES side once per (degree
-    histogram, k, v) over the whole walk, through one memo that no other
-    side touches.  Graphs come in ascending graph6 order and variant rows
-    in report order, so records come out in canonical order, unsorted.
+
+def _graph_walker(lhs, rhs, by_degrees: bool = False):
+    """Compare side lhs with side rhs on every labeled graph with n <= n_max
+    and every k <= k_max.
+
+    A (graph, k) gets one record per value of the longer side, rows in all,
+    and record i reads value i * len(side) // rows of each side: a gmode
+    side's value goes with every options entry of its gmode, as OPTIONS_MATRIX
+    is gmode-major.  Each side is evaluated once per (graph, k), but lhs,
+    if by_degrees, sees the graph only through its degree multiset and is
+    evaluated once per (degree histogram, k) over the whole walk.  Graphs
+    come in ascending graph6 order and variants in report order, so records
+    come out in canonical order, unsorted.
     """
-    reads = max(lhs_reads, rhs_reads)
-    if reads == _NONE:
-        rows = [("", (None,) * 4)]
-    elif reads == _GMODE:
-        rows = [(f"gmode={gm}", (None, gm, None, None)) for gm in GMODES]
-    else:
-        rows = [(f"gmode={o.gmode}/index={o.index_convention}", (None, o.gmode, o, o)) for o in OPTIONS_MATRIX]
-    # per side, the distinct v it reads; per row, the position of its own v
-    sides, picks = [], []
-    for side, level in ((lhs, lhs_reads), (rhs, rhs_reads)):
-        vs = list(dict.fromkeys(v[level] for _, v in rows))
-        sides.append((side, level == _DEGREES, vs))
-        picks.append([vs.index(v[level]) for _, v in rows])
-    plan = list(zip([variant for variant, _ in rows], *picks))
 
     def walk(claim, budget):
-        shared: dict = {}
+        memo: dict = {}
         recs = []
         for n in range(1, budget.n_max + 1):
             for g in enumerate_all_graphs(n):
                 g6 = encode_graph6(g)
                 for k in range(1, budget.k_max + 1):
                     head = f"n={n:02d}/g={g6}/k={k:02d}"
-                    values = []
-                    for i, (side, by_degrees, vs) in enumerate(sides):
-                        if by_degrees:
-                            key = (i, g.degree_counts, k)
-                            if key not in shared:
-                                shared[key] = [side(g, k, v) for v in vs]
-                            values.append(shared[key])
-                        else:
-                            values.append([side(g, k, v) for v in vs])
-                    lv, rv = values
-                    recs.extend(_rec(claim, head, lv[li], rv[ri], variant) for variant, li, ri in plan)
+                    if by_degrees:
+                        key = (g.degree_counts, k)
+                        if key not in memo:
+                            memo[key] = lhs(g, k)
+                        lv = memo[key]
+                    else:
+                        lv = lhs(g, k)
+                    rv = rhs(g, k)
+                    rows = max(len(lv), len(rv))
+                    recs.extend(_rec(claim, head, lv[i * len(lv) // rows], rv[i * len(rv) // rows], variant)
+                                for i, variant in enumerate(_VARIANTS[rows]))
         return recs
 
     return walk
@@ -335,25 +333,13 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
     ClaimId.LEMMA3: ClaimSpec((6, 2), (MAX_ARRANGE_N, 99), _pair_walker(sum, False)),
     ClaimId.LEMMA4: ClaimSpec((8, 6), (MAX_ARRANGE_N, 8), _records_lemma4),
     ClaimId.LEMMA6: ClaimSpec((6, 4), (MAX_INJECT_N, 6), _records_lemma6),
-    ClaimId.LEMMA1_VS_ORACLE: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(
-        lambda g, k, _: lemma1_sum(g, k), _NONE,
-        lambda g, k, _: count_k_matchings(g, k), _NONE)),
-    ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_ENUM_N, 8), _graph_walker(
-        lambda g, k, gm: theorem1_eval(g, k, gm), _GMODE,
-        lambda g, k, _: lemma1_sum(g, k), _NONE)),
-    ClaimId.THM2_VS_THM1: ClaimSpec((4, 2), (MAX_THEOREM2_N, 8), _graph_walker(
-        lambda g, k, gm: theorem2_eval(g, k, gm), _GMODE,
-        lambda g, k, gm: theorem1_eval(g, k, gm), _GMODE)),
-    ClaimId.LEMMA7_VS_THM2: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(
-        lambda g, k, o: lemma7_eval(g, k, o), _OPTIONS,
-        lambda g, k, gm: theorem2_eval(g, k, gm), _GMODE)),
-    ClaimId.THM3_VS_LEMMA7: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(
-        lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
-        lambda g, k, o: lemma7_eval(g, k, o), _OPTIONS)),
+    ClaimId.LEMMA1_VS_ORACLE: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(_lemma1, _oracle)),
+    ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_ENUM_N, 8), _graph_walker(_thm1, _lemma1)),
+    ClaimId.THM2_VS_THM1: ClaimSpec((4, 2), (MAX_THEOREM2_N, 8), _graph_walker(_thm2, _thm1)),
+    ClaimId.LEMMA7_VS_THM2: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(_lemma7, _thm2)),
+    ClaimId.THM3_VS_LEMMA7: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(_fast, _lemma7, by_degrees=True)),
     ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _records_thm4),
-    ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(
-        lambda g, k, o: fast_count(g, k, o).value, _DEGREES,
-        lambda g, k, _: count_k_matchings(g, k), _NONE)),
+    ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(_fast, _oracle, by_degrees=True)),
 }
 
 

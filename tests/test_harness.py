@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from kmatchlab import cli, harness
+from kmatchlab.coeffs import GMODES
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
 from kmatchlab.graph import parse_graph6
@@ -280,6 +281,74 @@ def test_graph_walker_calls_each_plain_side_once_per_graph_and_k(monkeypatch):
     assert calls["oracle"] == graphs * 2
     histograms = {(parse_graph6(r.head.split("/")[1][2:]).degree_counts, r.head[-2:]) for r in recs}
     assert calls["fast"] == len(histograms) * len(OPTIONS_MATRIX)
+
+
+# per graph claim, its (lhs, rhs) referees as (name in harness, what each reads
+# besides (graph, k)): nothing, the gmode or the full options
+_CHAIN_SIDES = {
+    ClaimId.LEMMA1_VS_ORACLE: (("lemma1_sum", ""), ("count_k_matchings", "")),
+    ClaimId.THM1_VS_LEMMA1: (("theorem1_eval", "gmode"), ("lemma1_sum", "")),
+    ClaimId.THM2_VS_THM1: (("theorem2_eval", "gmode"), ("theorem1_eval", "gmode")),
+    ClaimId.LEMMA7_VS_THM2: (("lemma7_eval", "options"), ("theorem2_eval", "gmode")),
+    ClaimId.THM3_VS_LEMMA7: (("fast_count", "options"), ("lemma7_eval", "options")),
+    ClaimId.END_TO_END: (("fast_count", "options"), ("count_k_matchings", "")),
+}
+
+# the variants a referee's values stand for, in report order, by what it reads
+_READ_VARIANTS = {
+    "": [""],
+    "gmode": [f"gmode={gm}" for gm in GMODES],
+    "options": [f"gmode={o.gmode}/index={o.index_convention}" for o in OPTIONS_MATRIX],
+}
+
+
+def _referee_args(read, variant):
+    """What a referee that reads `read` takes besides (graph, k) in a record of `variant`."""
+    if not read:
+        return ()
+    gm, _, ix = variant.removeprefix("gmode=").partition("/index=")
+    return (gm,) if read == "gmode" else (FastCountOptions(gm, ix),)
+
+
+@pytest.mark.parametrize("claim", list(_CHAIN_SIDES), ids=[c.value for c in _CHAIN_SIDES])
+def test_graph_walker_pairs_each_record_with_its_own_variant(monkeypatch, claim):
+    # each record's lhs and rhs are the referees at that record's own gmode or
+    # options, and each side is called once per (graph, k) and value it reads;
+    # fast_count, which sees only degrees, once per (histogram, k, options)
+    sides = _CHAIN_SIDES[claim]
+    originals = {name: getattr(harness, name) for name, _ in sides}
+    calls = dict.fromkeys(originals, 0)
+
+    def counted(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return wrapper
+
+    for name in originals:
+        monkeypatch.setattr(harness, name, counted(name))
+    budget = Budget(n_max=3, k_max=2)
+    recs = verify_claim(claim, budget)
+
+    def value(side, g, k, variant):
+        name, read = side
+        v = originals[name](g, k, *_referee_args(read, variant))
+        return v.value if name == "fast_count" else v
+
+    graphs = sum(2 ** (n * (n - 1) // 2) for n in range(1, budget.n_max + 1))
+    variants = max((_READ_VARIANTS[read] for _, read in sides), key=len)
+    assert len(recs) == graphs * budget.k_max * len(variants)
+    per_head = {}
+    for r in recs:
+        per_head.setdefault(r.head, []).append(r.variant)
+        _, g6, k = r.head.split("/")
+        g, k = parse_graph6(g6[2:]), int(k[2:])
+        assert (r.lhs, r.rhs) == (value(sides[0], g, k, r.variant), value(sides[1], g, k, r.variant)), r.instance
+    assert all(seen == variants for seen in per_head.values())
+    histograms = {(parse_graph6(h.split("/")[1][2:]).degree_counts, h[-2:]) for h in per_head}
+    for name, read in sides:
+        per_value = len(histograms) if name == "fast_count" else graphs * budget.k_max
+        assert calls[name] == per_value * len(_READ_VARIANTS[read]), name
 
 
 def test_json_round_trip_preserves_everything():
