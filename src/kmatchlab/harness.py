@@ -8,20 +8,21 @@ test, rhs = the reference it is supposed to equal):
   LEMMA3             injective pair sum  vs  double-sum-minus-linear (0/1 entries)
   LEMMA4             g'-power expansion  vs  arrangement_sum / falling factorial
   LEMMA6             f-partition expansion  vs  injection_sum
-  LEMMA1_VS_ORACLE   lemma1_sum  vs  count_k_matchings
+  LEMMA1_VS_ORACLE   lemma1_sum  vs  matching_counts
   THM1_VS_LEMMA1     theorem1_eval  vs  lemma1_sum
   THM2_VS_THM1       theorem2_eval  vs  theorem1_eval
   LEMMA7_VS_THM2     lemma7_eval  vs  theorem2_eval (same gmode)
   THM3_VS_LEMMA7     fast_count  vs  lemma7_eval
   THM4_FACTORIZATION direct nested double sum  vs  partition_product
-  END_TO_END         fast_count  vs  count_k_matchings
+  END_TO_END         fast_count  vs  matching_counts
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
 the walker that produces its records.  The six graph claims share one
 walker and are each a pair of named sides, one per chain referee (_oracle,
-_lemma1, _thm1, _thm2, _lemma7, _fast), whose values the walker pairs by
-position.  discrepancy_search is verify_claim(END_TO_END) behind the same
-guard, so verification and search produce records through one code path.
+_lemma1, _thm1, _thm2, _lemma7, _fast).  The walker calls each side once
+per graph, all k <= k_max, and pairs the values of each k by position.
+discrepancy_search is verify_claim(END_TO_END) behind the same guard, so
+verification and search produce records through one code path.
 
 Records are structured: claim, instance head, variant ("", gmode=X or
 gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
@@ -44,6 +45,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
@@ -55,8 +57,8 @@ from .errors import CapacityError
 from .exact import falling_factorial, rat_str
 from .fastcount import INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
 from .graph import MAX_ENUM_N, encode_graph6, enumerate_all_graphs
-from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, arrangement_sum, count_k_matchings,
-                     injection_sum, lemma1_sum, theorem1_eval, theorem2_eval)
+from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, arrangement_sum, injection_sum,
+                     lemma1_sum, matching_counts, theorem1_eval, theorem2_eval)
 from .partitions import Partition, partition_str
 
 
@@ -256,15 +258,15 @@ def _records_thm4(claim, budget):
     return recs
 
 
-# The chain referees, one side each: side(g, k) looks its referee up when
-# called and returns its values in report order, one value, one per gmode of
-# GMODES or one per entry of OPTIONS_MATRIX
-def _oracle(g, k): return [count_k_matchings(g, k)]
-def _lemma1(g, k): return [lemma1_sum(g, k)]
-def _thm1(g, k): return [theorem1_eval(g, k, gm) for gm in GMODES]
-def _thm2(g, k): return [theorem2_eval(g, k, gm) for gm in GMODES]
-def _lemma7(g, k): return [lemma7_eval(g, k, o) for o in OPTIONS_MATRIX]
-def _fast(g, k): return [fast_count(g, k, o).value for o in OPTIONS_MATRIX]
+# The chain referees, one side each: side(g, k_max) looks its referee up when
+# called and returns, for each k = 1..k_max, that k's values in report order:
+# one value, one per gmode of GMODES or one per entry of OPTIONS_MATRIX
+def _oracle(g, k_max): return [[c] for c in matching_counts(g, k_max)[1:]]
+def _lemma1(g, k_max): return [[lemma1_sum(g, k)] for k in range(1, k_max + 1)]
+def _thm1(g, k_max): return [[theorem1_eval(g, k, gm) for gm in GMODES] for k in range(1, k_max + 1)]
+def _thm2(g, k_max): return [[theorem2_eval(g, k, gm) for gm in GMODES] for k in range(1, k_max + 1)]
+def _lemma7(g, k_max): return [[lemma7_eval(g, k, o) for o in OPTIONS_MATRIX] for k in range(1, k_max + 1)]
+def _fast(g, k_max): return [[fast_count(g, k, o).value for o in OPTIONS_MATRIX] for k in range(1, k_max + 1)]
 
 
 # a graph claim's variants in report order, by its records per (graph, k)
@@ -272,39 +274,51 @@ _VARIANTS = {len(vs): vs for vs in ([""], [f"gmode={gm}" for gm in GMODES],
                                      [f"gmode={o.gmode}/index={o.index_convention}" for o in OPTIONS_MATRIX])}
 
 
+@cache
+def _pairing(a: int, b: int) -> tuple[tuple[str, int, int], ...]:
+    """(variant, lhs index, rhs index) per record of a (graph, k) whose sides
+    give a and b values: record i of rows = max(a, b) reads value i * a // rows
+    of lhs and i * b // rows of rhs."""
+    rows = max(a, b)
+    return tuple((v, i * a // rows, i * b // rows) for i, v in enumerate(_VARIANTS[rows]))
+
+
 def _graph_walker(lhs, rhs, by_degrees: bool = False):
     """Compare side lhs with side rhs on every labeled graph with n <= n_max
     and every k <= k_max.
 
-    A (graph, k) gets one record per value of the longer side, rows in all,
-    and record i reads value i * len(side) // rows of each side: a gmode
-    side's value goes with every options entry of its gmode, as OPTIONS_MATRIX
-    is gmode-major.  Each side is evaluated once per (graph, k), but lhs,
-    if by_degrees, sees the graph only through its degree multiset and is
-    evaluated once per (degree histogram, k) over the whole walk.  Graphs
-    come in ascending graph6 order and variants in report order, so records
-    come out in canonical order, unsorted.
+    A (graph, k) gets one record per value of the longer side, paired as
+    _pairing says: a gmode side's value goes with every options entry of its
+    gmode, as OPTIONS_MATRIX is gmode-major.  Each side is called once per
+    graph, all k <= k_max, but lhs, if by_degrees, sees the graph only
+    through its degree multiset and is called once per sorted degree
+    sequence over the whole walk.  Graphs come in ascending graph6 order and
+    variants in report order, so records come out in canonical order,
+    unsorted.  Each record is made by tuple.__new__ in place, with no Python
+    frame per record.
     """
 
     def walk(claim, budget):
+        k_max = budget.k_max
         memo: dict = {}
-        recs = []
+        recs: list[VerificationRecord] = []
+        append, new = recs.append, tuple.__new__
         for n in range(1, budget.n_max + 1):
             for g in enumerate_all_graphs(n):
-                g6 = encode_graph6(g)
-                for k in range(1, budget.k_max + 1):
-                    head = f"n={n:02d}/g={g6}/k={k:02d}"
-                    if by_degrees:
-                        key = (g.degree_counts, k)
-                        if key not in memo:
-                            memo[key] = lhs(g, k)
-                        lv = memo[key]
-                    else:
-                        lv = lhs(g, k)
-                    rv = rhs(g, k)
-                    rows = max(len(lv), len(rv))
-                    recs.extend(_rec(claim, head, lv[i * len(lv) // rows], rv[i * len(rv) // rows], variant)
-                                for i, variant in enumerate(_VARIANTS[rows]))
+                if by_degrees:
+                    key = tuple(sorted(g.degrees))
+                    lvs = memo.get(key)
+                    if lvs is None:
+                        lvs = memo[key] = lhs(g, k_max)
+                else:
+                    lvs = lhs(g, k_max)
+                prefix = f"n={n:02d}/g={encode_graph6(g)}/k="
+                for k, lv, rv in zip(range(1, k_max + 1), lvs, rhs(g, k_max)):
+                    head = f"{prefix}{k:02d}"
+                    for variant, i, j in _pairing(len(lv), len(rv)):
+                        l, r = lv[i], rv[j]
+                        verdict = "match" if l == r else "mismatch"
+                        append(new(VerificationRecord, (claim, head, l, r, verdict, variant)))
         return recs
 
     return walk
@@ -383,19 +397,19 @@ def build_report(
     """Put records in canonical order; tally them per claim and per variant."""
     recs = _canonical(list(records))
     summary, options_summary, first_cx, claim = {}, {}, {}, None
-    for r in recs:
-        if r.claim is not claim:
-            claim, name = r.claim, r.claim.value
+    for c, head, _, _, verdict, variant in recs:
+        if c is not claim:
+            claim, name = c, c.value
             tally = summary.setdefault(name, {"match": 0, "mismatch": 0})
-        tally[r.verdict] += 1
-        if r.verdict == "mismatch" and name not in first_cx:
-            first_cx[name] = r.instance
-        if r.variant:
-            ot = options_summary.get(r.variant) or options_summary.setdefault(
-                r.variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
-            ot[r.verdict] += 1
-            if r.verdict == "mismatch" and ot["first_counterexample"] is None:
-                ot["first_counterexample"] = r.instance
+        tally[verdict] += 1
+        if verdict == "mismatch" and name not in first_cx:
+            first_cx[name] = f"{head}/{variant}" if variant else head
+        if variant:
+            ot = options_summary.get(variant) or options_summary.setdefault(
+                variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+            ot[verdict] += 1
+            if verdict == "mismatch" and ot["first_counterexample"] is None:
+                ot["first_counterexample"] = f"{head}/{variant}"
     return VerificationReport(__version__, tuple(options_matrix), recs, summary, options_summary, first_cx)
 
 
@@ -428,11 +442,12 @@ def _write_json(report: VerificationReport, out: TextIO) -> None:
     claim, recs = None, report.records
     for i in range(0, len(recs), _CHUNK):
         rows = []
-        for r in recs[i:i + _CHUNK]:
-            if r.claim is not claim:  # one .value per run of a claim, not per record
-                claim, name = r.claim, _quote(r.claim.value)
-            rows.append(f'{{"claim":{name},"instance":{_quote(r.instance)},"lhs":"{rat_str(r.lhs)}",'
-                        f'"rhs":"{rat_str(r.rhs)}","verdict":{_quote(r.verdict)}}}')
+        for c, head, lhs, rhs, verdict, variant in recs[i:i + _CHUNK]:
+            if c is not claim:  # one .value per run of a claim, not per record
+                claim, name = c, _quote(c.value)
+            inst = f"{head}/{variant}" if variant else head
+            rows.append(f'{{"claim":{name},"instance":{_quote(inst)},"lhs":"{rat_str(lhs)}",'
+                        f'"rhs":"{rat_str(rhs)}","verdict":{_quote(verdict)}}}')
         out.write("," * (i > 0) + ",".join(rows))
     out.write(f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n')
 

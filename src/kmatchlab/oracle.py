@@ -76,6 +76,13 @@ def count_k_matchings(g: Graph, k: int) -> int:
     return _count_disjoint(_edge_masks(g, k, "matching"), k)
 
 
+def matching_counts(g: Graph, k: int) -> list[int]:
+    """[N(0), ..., N(k)]: count_k_matchings for each j <= k, from one guard
+    check and one edge-mask list."""
+    masks = _edge_masks(g, k, "matching")
+    return [_count_disjoint(masks, j) for j in range(k + 1)]
+
+
 def count_k_directed_matchings(g: Graph, k: int) -> int:
     """Sets of k directed edges whose 2k endpoints are all distinct."""
     # both orientations of an edge carry the same endpoint mask

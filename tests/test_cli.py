@@ -76,7 +76,8 @@ def test_coeffs_f_json(capsys):
 
 
 # SHA-256 of `kmatch coeffs` stdout: --what g --gmode MODE --k K for K <= 12,
-# and --what f --k K for K <= 7; refactors of the tables must leave them as they are
+# and --what f --k K for K <= 7 and K = 10, the first level whose keys sort a
+# two-digit element; refactors of the tables must leave them as they are
 COEFFS_DIGESTS = {
     ("g", "paper", 1): "362b70d484bf6059914073093b89c29a6e9a0daab8cd96ead963d6eba5957b4b",
     ("g", "paper", 2): "ceb798cfc8d049d27beb16f3a6104825c41905c1f1a6933da842bbd3b085a5bd",
@@ -109,6 +110,7 @@ COEFFS_DIGESTS = {
     ("f", None, 5): "b6ac1fc2be6c60535d7bc3541e2db533d6d4106d86abb1eef671b03fe6bdf147",
     ("f", None, 6): "c56a28fb18ca8d3a58c79f46b7e5587a3379082ec282662a89e692e3ffb6d09d",
     ("f", None, 7): "cc38d7d314cf0a5c8c542b9d0e5f1010832eed801dab2f42739e23503e2fc9b9",
+    ("f", None, 10): "9eac01ff0db3712477f27e9f7df81ba231ecad6da77963a06ec09c3aa3fcdc92",
 }
 
 

@@ -16,7 +16,7 @@ from kmatchlab import cli, harness
 from kmatchlab.coeffs import GMODES
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
-from kmatchlab.graph import parse_graph6
+from kmatchlab.graph import enumerate_all_graphs, parse_graph6
 from kmatchlab.harness import (
     OPTIONS_MATRIX,
     Budget,
@@ -29,7 +29,7 @@ from kmatchlab.harness import (
     verify_claim,
     write_report,
 )
-from kmatchlab.oracle import count_k_matchings
+from kmatchlab.oracle import count_k_matchings, matching_counts
 
 
 def _written(report, format):
@@ -262,9 +262,10 @@ def test_search_guards():
         discrepancy_search(0, 1)
 
 
-def test_graph_walker_calls_each_plain_side_once_per_graph_and_k(monkeypatch):
-    # the oracle side reads no degrees: one call per (graph, k), however many
-    # graphs share a degree histogram; fast_count once per (histogram, k, options)
+def test_graph_walker_calls_each_plain_side_once_per_graph(monkeypatch):
+    # the oracle side reads no degrees: one matching_counts call per graph for
+    # all k, however many graphs share a degree histogram; fast_count once per
+    # (histogram, k, options)
     calls = {"oracle": 0, "fast": 0}
 
     def counted(name, f):
@@ -273,25 +274,53 @@ def test_graph_walker_calls_each_plain_side_once_per_graph_and_k(monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(harness, "count_k_matchings", counted("oracle", count_k_matchings))
+    monkeypatch.setattr(harness, "matching_counts", counted("oracle", matching_counts))
     monkeypatch.setattr(harness, "fast_count", counted("fast", fast_count))
     recs = verify_claim(ClaimId.END_TO_END, Budget(n_max=4, k_max=2))
     graphs = sum(2 ** (n * (n - 1) // 2) for n in range(1, 5))
     assert len(recs) == graphs * 2 * len(OPTIONS_MATRIX)
-    assert calls["oracle"] == graphs * 2
+    assert calls["oracle"] == graphs
     histograms = {(parse_graph6(r.head.split("/")[1][2:]).degree_counts, r.head[-2:]) for r in recs}
     assert calls["fast"] == len(histograms) * len(OPTIONS_MATRIX)
+
+
+@pytest.mark.parametrize("claim, lhs, rhs, by_degrees", [
+    (ClaimId.LEMMA1_VS_ORACLE, "_lemma1", "_oracle", False),
+    (ClaimId.END_TO_END, "_fast", "_oracle", True),
+], ids=["LEMMA1_VS_ORACLE", "END_TO_END"])
+def test_graph_walker_calls_each_side_once_per_graph_for_all_k(claim, lhs, rhs, by_degrees):
+    # a side answers every k <= k_max in one call: once per graph, or, if
+    # it sees only degrees, once per sorted degree sequence
+    seen = {lhs: [], rhs: []}
+
+    def counted(name):
+        def side(g, k_max):
+            seen[name].append((g, k_max))
+            return getattr(harness, name)(g, k_max)
+        return side
+
+    budget = Budget(n_max=3, k_max=3)
+    walk = harness._graph_walker(counted(lhs), counted(rhs), by_degrees)
+    assert walk(claim, budget) == verify_claim(claim, budget)
+    graphs = [g for n in range(1, budget.n_max + 1) for g in enumerate_all_graphs(n)]
+    assert seen[rhs] == [(g, budget.k_max) for g in graphs]
+    if by_degrees:
+        def degrees(g): return tuple(sorted(g.degrees))
+        assert {k for _, k in seen[lhs]} == {budget.k_max}
+        assert sorted(degrees(g) for g, _ in seen[lhs]) == sorted({degrees(g) for g in graphs})
+    else:
+        assert seen[lhs] == seen[rhs]
 
 
 # per graph claim, its (lhs, rhs) referees as (name in harness, what each reads
 # besides (graph, k)): nothing, the gmode or the full options
 _CHAIN_SIDES = {
-    ClaimId.LEMMA1_VS_ORACLE: (("lemma1_sum", ""), ("count_k_matchings", "")),
+    ClaimId.LEMMA1_VS_ORACLE: (("lemma1_sum", ""), ("matching_counts", "")),
     ClaimId.THM1_VS_LEMMA1: (("theorem1_eval", "gmode"), ("lemma1_sum", "")),
     ClaimId.THM2_VS_THM1: (("theorem2_eval", "gmode"), ("theorem1_eval", "gmode")),
     ClaimId.LEMMA7_VS_THM2: (("lemma7_eval", "options"), ("theorem2_eval", "gmode")),
     ClaimId.THM3_VS_LEMMA7: (("fast_count", "options"), ("lemma7_eval", "options")),
-    ClaimId.END_TO_END: (("fast_count", "options"), ("count_k_matchings", "")),
+    ClaimId.END_TO_END: (("fast_count", "options"), ("matching_counts", "")),
 }
 
 # the variants a referee's values stand for, in report order, by what it reads
@@ -313,8 +342,9 @@ def _referee_args(read, variant):
 @pytest.mark.parametrize("claim", list(_CHAIN_SIDES), ids=[c.value for c in _CHAIN_SIDES])
 def test_graph_walker_pairs_each_record_with_its_own_variant(monkeypatch, claim):
     # each record's lhs and rhs are the referees at that record's own gmode or
-    # options, and each side is called once per (graph, k) and value it reads;
-    # fast_count, which sees only degrees, once per (histogram, k, options)
+    # options; matching_counts is called once per graph for all k, every other
+    # referee once per (graph, k) and value it reads, and fast_count, which
+    # sees only degrees, once per (histogram, k, options)
     sides = _CHAIN_SIDES[claim]
     originals = {name: getattr(harness, name) for name, _ in sides}
     calls = dict.fromkeys(originals, 0)
@@ -332,6 +362,8 @@ def test_graph_walker_pairs_each_record_with_its_own_variant(monkeypatch, claim)
 
     def value(side, g, k, variant):
         name, read = side
+        if name == "matching_counts":
+            return count_k_matchings(g, k)
         v = originals[name](g, k, *_referee_args(read, variant))
         return v.value if name == "fast_count" else v
 
@@ -347,7 +379,7 @@ def test_graph_walker_pairs_each_record_with_its_own_variant(monkeypatch, claim)
     assert all(seen == variants for seen in per_head.values())
     histograms = {(parse_graph6(h.split("/")[1][2:]).degree_counts, h[-2:]) for h in per_head}
     for name, read in sides:
-        per_value = len(histograms) if name == "fast_count" else graphs * budget.k_max
+        per_value = {"fast_count": len(histograms), "matching_counts": graphs}.get(name, graphs * budget.k_max)
         assert calls[name] == per_value * len(_READ_VARIANTS[read]), name
 
 

@@ -18,12 +18,14 @@ from kmatchlab.exact import falling_factorial
 from kmatchlab.graph import Graph, enumerate_all_graphs, from_edge_list, generate
 from kmatchlab.oracle import (
     MAX_MATCH_EDGES,
+    MAX_MATCH_K,
     arrangement_sum,
     count_k_directed_matchings,
     count_k_matchings,
     count_rook_placements,
     injection_sum,
     lemma1_sum,
+    matching_counts,
     theorem1_eval,
     theorem2_eval,
 )
@@ -58,6 +60,53 @@ def test_matching_counts_vs_edge_subset_scan():
         for g in enumerate_all_graphs(n):
             for k in range(0, n // 2 + 1):
                 assert count_k_matchings(g, k) == _matchings_by_edge_subsets(g, k)
+
+
+def _count_each(g: Graph, k: int) -> list[int]:
+    return [count_k_matchings(g, j) for j in range(k + 1)]
+
+
+def test_matching_counts_on_every_small_graph():
+    for n in range(1, 6):
+        for g in enumerate_all_graphs(n):
+            for k in range(4):
+                assert matching_counts(g, k) == _count_each(g, k)
+            assert matching_counts(g, 0) == [1]
+
+
+def test_matching_counts_up_to_the_edge_bound():
+    edges = list(combinations(range(1, 13), 2))  # K12, 66 edges
+    graphs = [from_edge_list(12, edges[:MAX_MATCH_EDGES])]
+    graphs += [generate("random", n, p=p, seed=seed)
+               for n, p in ((8, 0.5), (12, 0.6), (16, 0.4)) for seed in range(3)]
+    for g in graphs:
+        assert sum(map(len, g.rows)) <= MAX_MATCH_EDGES
+        assert matching_counts(g, 3) == _count_each(g, 3)
+    assert sum(map(len, graphs[0].rows)) == MAX_MATCH_EDGES
+
+
+class _UnreadRow(tuple):
+    """A neighbour row that can be counted but not read, so no mask is built from it."""
+
+    def __iter__(self):
+        raise AssertionError("an edge mask was built")
+
+
+def _unread(g: Graph) -> Graph:
+    return Graph(g.n, tuple(map(_UnreadRow, g.rows)))
+
+
+@pytest.mark.parametrize("g, k, error", [
+    (generate("path", 5), -1, ValueError),
+    (generate("path", 5), MAX_MATCH_K + 1, CapacityError),
+    (generate("complete", 12), 2, CapacityError),
+], ids=["negative-k", "past-k-bound", "past-edge-bound"])
+def test_matching_counts_refuses_as_count_k_matchings_before_any_mask(g, k, error):
+    with pytest.raises(error) as each:
+        count_k_matchings(g, k)
+    with pytest.raises(error) as once:
+        matching_counts(_unread(g), k)
+    assert str(once.value) == str(each.value)
 
 
 def test_directed_matchings_are_scaled_matchings(k2):
