@@ -23,7 +23,6 @@ from typing import Iterator, Mapping
 
 from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError, Graph6ParseError
-from .exact import rat_str
 from .fastcount import INDEX_CONVENTIONS, FastCountOptions, fast_count
 from .graph import Graph, generate, parse_edge_list_text, parse_graph6
 from .harness import (
@@ -33,6 +32,7 @@ from .harness import (
     ClaimId,
     build_report,
     discrepancy_search,
+    resolve_budget,
     verify_claim,
     write_report,
 )
@@ -127,13 +127,13 @@ def _cmd_count(args) -> int:
                 "n": res.n,
                 "k": res.k,
                 "options": {"gmode": opts.gmode, "index_convention": opts.index_convention},
-                "value": rat_str(res.value),
+                "value": str(res.value),
                 "is_integral": res.is_integral,
             }
         )
     else:
         tag = "integral" if res.is_integral else "non-integral"
-        print(f"{rat_str(res.value)} ({tag})")
+        print(f"{res.value} ({tag})")
     return 0
 
 
@@ -147,7 +147,7 @@ _ORACLES = {
 
 
 def _cmd_oracle(args) -> int:
-    print(rat_str(_ORACLES[args.what](_load_graph(args.graph), args.k)))
+    print(_ORACLES[args.what](_load_graph(args.graph), args.k))
     return 0
 
 
@@ -189,12 +189,14 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # in report order, so that build_report finds the records sorted
+    # in report order, as build_report requires: it refuses records out of order
     claims = sorted(ClaimId, key=lambda c: c.value) if args.claim == "all" else [ClaimId(args.claim)]
     budget = Budget(n_max=args.nmax, k_max=args.kmax, seed=args.seed)
+    # every claim's guard refuses before any claim walks
+    budgets = [resolve_budget(claim, budget) for claim in claims]
     records = []
-    for claim in claims:
-        records.extend(verify_claim(claim, budget))
+    for claim, resolved in zip(claims, budgets):
+        records.extend(verify_claim(claim, resolved))
     _emit_report(build_report(records, OPTIONS_MATRIX), args.format, args.out)
     return 0
 

@@ -29,12 +29,12 @@ gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
 return them, int or Fraction.  The instance key is head/variant.
 
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
-rounded or tolerated.  Reports are canonical: records sorted by
-(claim, instance key), zero-padded numeric fields, rationals serialized
-as "p/q" strings, and byte-identical JSON from run to run.  Every walker
-emits its records in that order as it builds them; build_report, whose
-input is public, is the one place that checks it.  Writers put a report
-on a text stream one chunk of records at a time.
+rounded or tolerated.  Reports are canonical: records in (claim, instance
+key) order, zero-padded numeric fields, each value written by its str
+("p/q", or "p" when integral), byte-identical JSON from run to run.  Every
+walker emits that order; build_report, whose input is public, refuses
+records out of it while it tallies them and sorts nothing.  Writers put a
+report on a text stream one chunk of records at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 from ._version import __version__
 from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError
-from .exact import falling_factorial, rat_str
+from .exact import falling_factorial
 from .fastcount import INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
 from .graph import MAX_ENUM_N, encode_graph6, enumerate_all_graphs
 from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, arrangement_sum, injection_sum,
@@ -120,20 +120,6 @@ OPTIONS_MATRIX = tuple(FastCountOptions(gm, ix) for gm in GMODES for ix in INDEX
 
 def _rec(claim: ClaimId, head: str, lhs, rhs, variant: str = "") -> VerificationRecord:
     return VerificationRecord(claim, head, lhs, rhs, "match" if lhs == rhs else "mismatch", variant)
-
-
-def _canonical(records: list[VerificationRecord]) -> list[VerificationRecord]:
-    """records in (claim.value, instance) order, sorted only if they are not yet.
-    No head is a proper prefix of another in its claim, so (head, variant) is that order.
-    The walkers emit that order; build_report, whose input is public, is the one caller."""
-
-    def in_order(a: VerificationRecord, b: VerificationRecord) -> bool:
-        if a.claim is b.claim:
-            return a.head < b.head or (a.head == b.head and a.variant <= b.variant)
-        return a.claim.value < b.claim.value
-
-    in_place = all(map(in_order, records, records[1:]))
-    return records if in_place else sorted(records, key=lambda r: (r.claim.value, r.head, r.variant))
 
 
 def _vec(x: Sequence[int]) -> str:
@@ -357,9 +343,8 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
 }
 
 
-def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
-    """Evaluate both sides of one claim on every instance in the budget, under
-    every convention variant it reads, in the canonical order the walker emits."""
+def resolve_budget(claim: ClaimId, budget: Budget | None = None) -> Budget:
+    """The budget with the claim's defaults filled in, refused if past the claim's guard."""
     budget = budget or Budget()
     spec = _SPECS[claim]
     n_max = budget.n_max if budget.n_max is not None else spec.defaults[0]
@@ -372,7 +357,13 @@ def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[Verificat
             f"budget n_max={n_max}, k_max={k_max} exceeds {claim.value} "
             f"guard (n_max <= {n_guard}, k_max <= {k_guard})"
         )
-    return spec.walk(claim, replace(budget, n_max=n_max, k_max=k_max))
+    return replace(budget, n_max=n_max, k_max=k_max)
+
+
+def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
+    """Evaluate both sides of one claim on every instance in the budget, under
+    every convention variant it reads, in the canonical order the walker emits."""
+    return _SPECS[claim].walk(claim, resolve_budget(claim, budget))
 
 
 # -- discrepancy search ------------------------------------------------------
@@ -391,16 +382,26 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
 # -- report assembly and serialization ---------------------------------------
 
 def build_report(
-    records: Iterable[VerificationRecord],
+    records: list[VerificationRecord],
     options_matrix: Iterable[FastCountOptions] = (),
 ) -> VerificationReport:
-    """Put records in canonical order; tally them per claim and per variant."""
-    recs = _canonical(list(records))
-    summary, options_summary, first_cx, claim = {}, {}, {}, None
-    for c, head, _, _, verdict, variant in recs:
+    """Tally a list of records per claim and per variant; the report keeps the list.
+
+    The first record out of canonical order raises ValueError: claim values
+    rise strictly run by run, and (head, variant), ordered as the instance
+    is since no head is a proper prefix of another, never falls in a run."""
+    if not isinstance(records, list):
+        raise TypeError(f"build_report takes a list of records, got {type(records).__name__}")
+    summary, options_summary, first_cx, claim, name = {}, {}, {}, None, ""
+    for c, head, _, _, verdict, variant in records:
         if c is not claim:
+            if c.value <= name:
+                break
             claim, name = c, c.value
-            tally = summary.setdefault(name, {"match": 0, "mismatch": 0})
+            tally = summary[name] = {"match": 0, "mismatch": 0}
+        elif head <= last_head and (head < last_head or variant < last_variant):
+            break
+        last_head, last_variant = head, variant
         tally[verdict] += 1
         if verdict == "mismatch" and name not in first_cx:
             first_cx[name] = f"{head}/{variant}" if variant else head
@@ -410,7 +411,11 @@ def build_report(
             ot[verdict] += 1
             if verdict == "mismatch" and ot["first_counterexample"] is None:
                 ot["first_counterexample"] = f"{head}/{variant}"
-    return VerificationReport(__version__, tuple(options_matrix), recs, summary, options_summary, first_cx)
+    else:
+        return VerificationReport(__version__, tuple(options_matrix), records, summary, options_summary, first_cx)
+    # the loop broke at the first record out of order
+    inst = f"{head}/{variant}" if variant else head
+    raise ValueError(f"records out of canonical order at {c.value} {inst}")
 
 
 def report_from_json(text: str) -> VerificationReport:
@@ -446,8 +451,8 @@ def _write_json(report: VerificationReport, out: TextIO) -> None:
             if c is not claim:  # one .value per run of a claim, not per record
                 claim, name = c, _quote(c.value)
             inst = f"{head}/{variant}" if variant else head
-            rows.append(f'{{"claim":{name},"instance":{_quote(inst)},"lhs":"{rat_str(lhs)}",'
-                        f'"rhs":"{rat_str(rhs)}","verdict":{_quote(verdict)}}}')
+            rows.append(f'{{"claim":{name},"instance":{_quote(inst)},"lhs":"{lhs}",'
+                        f'"rhs":"{rhs}","verdict":{_quote(verdict)}}}')
         out.write("," * (i > 0) + ",".join(rows))
     out.write(f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n')
 
@@ -460,7 +465,7 @@ def _write_csv(report: VerificationReport, out: TextIO) -> None:
     for i in range(0, len(recs), _CHUNK):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
-            (r.claim.value, r.instance, rat_str(r.lhs), rat_str(r.rhs), r.verdict) for r in recs[i:i + _CHUNK])
+            (r.claim.value, r.instance, r.lhs, r.rhs, r.verdict) for r in recs[i:i + _CHUNK])
         out.write(buf.getvalue())
 
 
@@ -480,7 +485,7 @@ def _write_text(report: VerificationReport, out: TextIO) -> None:
     lines.append("records:")
     out.write("\n".join(lines) + "\n")
     for i in range(0, len(report.records), _CHUNK):
-        out.write("".join(f"  {r.claim.value} {r.instance} lhs={rat_str(r.lhs)} rhs={rat_str(r.rhs)} "
+        out.write("".join(f"  {r.claim.value} {r.instance} lhs={r.lhs} rhs={r.rhs} "
                           f"{r.verdict}\n" for r in report.records[i:i + _CHUNK]))
 
 

@@ -240,11 +240,13 @@ def _cli_env():
         ["verify", "--claim", "LEMMA7_VS_THM2", "--nmax", "6", "--kmax", "1"],
         ["verify", "--claim", "THM3_VS_LEMMA7", "--nmax", "6", "--kmax", "1"],
         ["verify", "--claim", "THM4_FACTORIZATION", "--nmax", "7", "--kmax", "1"],
+        # END_TO_END, walked first, admits n = 6; LEMMA7_VS_THM2 does not
+        ["verify", "--claim", "all", "--nmax", "6", "--kmax", "1"],
     ],
     ids=["rooks-K40", "matchings-G2000", "directed-G2000", "coeffs-past-guard", "coeffs-f-past-guard",
          "verify-END_TO_END-n7", "verify-LEMMA1_VS_ORACLE-n7", "verify-THM1_VS_LEMMA1-n7",
          "verify-THM2_VS_THM1-n7", "verify-LEMMA7_VS_THM2-n6", "verify-THM3_VS_LEMMA7-n6",
-         "verify-THM4_FACTORIZATION-n7"],
+         "verify-THM4_FACTORIZATION-n7", "verify-all-n6"],
 )
 def test_guards_refuse_before_work_exit_2(argv):
     # a guard refuses at once with exit 2 and one error line, no traceback

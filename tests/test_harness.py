@@ -195,7 +195,8 @@ def default_records():
 
 @pytest.fixture(scope="module")
 def verify_all_report(default_records):
-    records = [r for recs in default_records.values() for r in recs]
+    # claims in report order, as `kmatch verify --claim all` walks them
+    records = [r for claim in sorted(ClaimId, key=lambda c: c.value) for r in default_records[claim]]
     return build_report(records, OPTIONS_MATRIX)
 
 
@@ -417,13 +418,66 @@ def test_every_sink_gets_the_formatter_bytes(verify_all_report, tmp_path, capsys
     assert capsys.readouterr().out == want
 
 
-def test_build_report_sorts_records_out_of_order():
-    recs = verify_claim(ClaimId.THM2_VS_THM1, Budget(n_max=3, k_max=2))
-    recs += verify_claim(ClaimId.LEMMA4, Budget(n_max=2, k_max=3))
-    rep = build_report(recs[::-1], OPTIONS_MATRIX)
-    in_string_order = sorted(recs, key=lambda r: (r.claim.value, r.instance))
-    assert rep.records == in_string_order
-    assert report_to_json(rep) == report_to_json(build_report(in_string_order, OPTIONS_MATRIX))
+def _order_case_records():
+    return (verify_claim(ClaimId.LEMMA4, Budget(n_max=2, k_max=3))
+            + verify_claim(ClaimId.THM2_VS_THM1, Budget(n_max=3, k_max=2)))
+
+
+def _swap(recs, i, j):
+    recs[i], recs[j] = recs[j], recs[i]
+    return recs
+
+
+@pytest.mark.parametrize("disorder, first_out", [
+    # the claim runs in the wrong order
+    (lambda recs: recs[-2:] + recs[:-2], "LEMMA4 k=02/s=00/gmode=corrected"),
+    # a claim run again after another claim's run
+    (lambda recs: recs + recs[:1], "LEMMA4 k=02/s=00/gmode=corrected"),
+    # two heads of one claim swapped
+    (lambda recs: _swap(recs, 0, len(GMODES)), "LEMMA4 k=02/s=00/gmode=paper"),
+    # two variants of one head swapped
+    (lambda recs: _swap(recs, 0, 1), "LEMMA4 k=02/s=00/gmode=corrected"),
+], ids=["claim", "claim-repeated", "head", "variant"])
+def test_build_report_refuses_records_out_of_order(disorder, first_out):
+    recs = disorder(_order_case_records())
+    with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
+        build_report(recs, OPTIONS_MATRIX)
+
+
+def test_build_report_keeps_the_callers_list_and_equal_keys():
+    recs = _order_case_records()
+    rep = build_report(recs, OPTIONS_MATRIX)
+    assert rep.records is recs
+    # equal (head, variant) pairs in a row are in order
+    twice = [r for r in recs for _ in range(2)]
+    assert build_report(twice, OPTIONS_MATRIX).summary == {
+        c: {v: 2 * n for v, n in t.items()} for c, t in rep.summary.items()}
+
+
+@pytest.mark.parametrize("records", [(), iter([]), {}], ids=["tuple", "iterator", "dict"])
+def test_build_report_takes_only_a_list(records):
+    with pytest.raises(TypeError, match="list of records"):
+        build_report(records, OPTIONS_MATRIX)
+
+
+@pytest.mark.parametrize("format", ["json", "csv", "text"])
+def test_writers_write_each_value_by_its_str(format):
+    # a Fraction in lowest terms as num/den, an integral one as num, and an
+    # int of any size in full
+    values = [(Fraction(3, 6), "1/2"), (Fraction(4, 2), "2"), (Fraction(-5, 4), "-5/4"), (10**30, str(10**30))]
+    recs = [VerificationRecord(ClaimId.LEMMA2, f"x={i}", v, 0, "mismatch") for i, (v, _) in enumerate(values)]
+    text = _written(build_report(recs), format)
+    for i, (_, want) in enumerate(values):
+        line = {"json": f'"instance":"x={i}","lhs":"{want}","rhs":"0"',
+                "csv": f"LEMMA2,x={i},{want},0,mismatch",
+                "text": f"  LEMMA2 x={i} lhs={want} rhs=0 mismatch"}[format]
+        assert line in text
+
+
+def test_every_value_is_an_int_or_a_fraction(verify_all_report):
+    # the writers put each value by its str, which is "p/q" or "p" for these
+    # two types only: a bool would be written True
+    assert {type(v) for r in verify_all_report.records for v in (r.lhs, r.rhs)} <= {int, Fraction}
 
 
 def test_records_carry_head_and_variant():
