@@ -6,7 +6,7 @@ test, rhs = the reference it is supposed to equal):
 
   LEMMA2             injective pair sum  vs  double-sum-minus-diagonal (any ints)
   LEMMA3             injective pair sum  vs  double-sum-minus-linear (0/1 entries)
-  LEMMA4             g'-power expansion  vs  arrangement_sum / falling factorial
+  LEMMA4             g'-power expansion  vs  falling factorial / injection_sum((x,) * k)
   LEMMA6             f-partition expansion  vs  injection_sum
   LEMMA1_VS_ORACLE   lemma1_sum  vs  matching_counts
   THM1_VS_LEMMA1     theorem1_eval  vs  lemma1_sum
@@ -57,8 +57,8 @@ from .errors import CapacityError
 from .exact import falling_factorial
 from .fastcount import INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
 from .graph import MAX_ENUM_N, encode_graph6, enumerate_all_graphs
-from .oracle import (MAX_ARRANGE_N, MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, arrangement_sum, injection_sum,
-                     lemma1_sum, matching_counts, theorem1_eval, theorem2_eval)
+from .oracle import (MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, injection_sum, lemma1_sum, matching_counts,
+                     theorem1_eval, theorem2_eval)
 from .partitions import Partition, partition_str
 
 
@@ -146,7 +146,7 @@ def _double_sum(x: Sequence[int]) -> int:
 
 
 def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
-    """LEMMA2/3: arrangement_sum(x, 2) vs the double sum minus diagonal(x), on
+    """LEMMA2/3: injection_sum((x, x)) vs the double sum minus diagonal(x), on
     every 0/1 vector x, plus seeded integer vectors if random_trials."""
 
     def walk(claim, budget):
@@ -159,7 +159,7 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
                 xs.append((f"n={n:02d}/seed={budget.seed:03d}/trial={t:02d}/x={_vec(x)}", x))
             xs += [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
             for inst, x in xs:
-                recs.append(_rec(claim, inst, arrangement_sum(x, 2), _double_sum(x) - diagonal(x)))
+                recs.append(_rec(claim, inst, injection_sum((x, x)), _double_sum(x) - diagonal(x)))
         return recs
 
     return walk
@@ -179,7 +179,7 @@ def _records_lemma4(claim, budget):
         for x in product((0, 1), repeat=n):
             s1 = sum(x)
             for k in range(2, kv_max + 1):
-                lhs = arrangement_sum(x, k)
+                lhs = injection_sum((x,) * k)
                 head = f"n={n:02d}/x={_vec(x)}/k={k:02d}"
                 for gm in GMODES:
                     gp = compute_gprime(k, gm)
@@ -209,7 +209,7 @@ def _records_lemma6(claim, budget):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
                 X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
                 inst = f"m={m:02d}/n={n:02d}/seed={seed:03d}/trial={t:02d}/X={_mat(X)}"
-                recs.append(_rec(claim, inst, injection_sum(X, m), _lemma6_rhs(X, ftab)))
+                recs.append(_rec(claim, inst, injection_sum(X), _lemma6_rhs(X, ftab)))
     return recs
 
 
@@ -328,10 +328,10 @@ class ClaimSpec:
 
 
 _SPECS: dict[ClaimId, ClaimSpec] = {
-    ClaimId.LEMMA2: ClaimSpec((6, 2), (MAX_ARRANGE_N, 99), _pair_walker(
+    ClaimId.LEMMA2: ClaimSpec((6, 2), (MAX_INJECT_N, 99), _pair_walker(
         lambda x: sum(v * v for v in x), True)),
-    ClaimId.LEMMA3: ClaimSpec((6, 2), (MAX_ARRANGE_N, 99), _pair_walker(sum, False)),
-    ClaimId.LEMMA4: ClaimSpec((8, 6), (MAX_ARRANGE_N, 8), _records_lemma4),
+    ClaimId.LEMMA3: ClaimSpec((6, 2), (MAX_INJECT_N, 99), _pair_walker(sum, False)),
+    ClaimId.LEMMA4: ClaimSpec((8, 6), (MAX_INJECT_N, 8), _records_lemma4),
     ClaimId.LEMMA6: ClaimSpec((6, 4), (MAX_INJECT_N, 6), _records_lemma6),
     ClaimId.LEMMA1_VS_ORACLE: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(_lemma1, _oracle)),
     ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_ENUM_N, 8), _graph_walker(_thm1, _lemma1)),

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, prod
+from operator import getitem
 from typing import Sequence
 
 from .coeffs import compute_gprime
@@ -28,8 +29,7 @@ MAX_MATCH_EDGES = 64
 MAX_MATCH_K = 8
 MAX_ROOK_N = 8
 MAX_ROOK_K = 4
-MAX_ARRANGE_N = 10
-MAX_INJECT_N = 8
+MAX_INJECT_N = 10
 MAX_LEMMA1_N = 7
 MAX_THEOREM1_N = 7
 MAX_THEOREM2_N = 6
@@ -109,41 +109,20 @@ def count_rook_placements(g: Graph, k: int) -> int:
     return _count_disjoint(masks, k)
 
 
-def arrangement_sum(x: Sequence[int], k: int) -> int:
-    """Sum over injective maps sigma: {1..k} -> {1..n} of the product of x[sigma(i)]."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    n = len(x)
-    if n > MAX_ARRANGE_N:
-        raise CapacityError(f"arrangement enumeration refused: n={n} > {MAX_ARRANGE_N}")
-    if k > n:
-        return 0
-    return sum(prod(x[i] for i in tup) for tup in permutations(range(n), k))
+def injection_sum(X: Sequence[Sequence[int]]) -> int:
+    """Sum over injective maps sigma from the rows of X to its columns of the
+    product of X[i][sigma(i)]; 1 when X has no rows.
 
-
-def injection_sum(X: Sequence[Sequence[int]], m: int) -> int:
-    """Sum over injective sigma: {1..m} -> {1..n} of the product of X[i][sigma(i)].
-
-    X must have at least m rows of equal length n; rows past m are ignored.
+    X's rows must have one length n, the number of columns.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if m > len(X):
-        raise ValueError(f"m={m} exceeds row count {len(X)}")
-    rows = [tuple(r) for r in X[:m]]
-    if m == 0:
+    if not X:
         return 1
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
+    n = len(X[0])
+    if any(len(r) != n for r in X):
         raise ValueError("ragged matrix rows")
     if n > MAX_INJECT_N:
         raise CapacityError(f"injection enumeration refused: n={n} > {MAX_INJECT_N}")
-    if m > n:
-        return 0
-    return sum(
-        prod(rows[i][c] for i, c in enumerate(cols))
-        for cols in permutations(range(n), m)
-    )
+    return sum(prod(map(getitem, X, cols)) for cols in permutations(range(n), len(X)))
 
 
 def lemma1_sum(g: Graph, k: int) -> Fraction:
@@ -218,6 +197,6 @@ def theorem2_eval(g: Graph, k: int, gmode: str = "corrected") -> Fraction:
     for l in range(1, k + 1):
         s_l = 0
         for jt in product(range(n), repeat=l):
-            s_l += injection_sum([adj[j] for j in jt], l)
+            s_l += injection_sum([adj[j] for j in jt])
         total += factorial(n - l) * gp[l] * s_l
     return Fraction(total, factorial(k) * factorial(n - k) * 2**k)

@@ -186,7 +186,7 @@ def test_f_is_unique_solution_of_identity(m):
         n = rng.choice([m, m + 1])
         X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
         rows.append([_basis_eval(X, pi) for pi in parts])
-        rhs.append(injection_sum(X, m))
+        rhs.append(injection_sum(X))
     fitted = _solve_exact(rows, rhs)
     table = compute_f(m)
     assert fitted == [table[pi] for pi in parts]
@@ -210,7 +210,7 @@ def test_f_identity_holds_at_larger_m(m, n):
     for _ in range(5):
         X = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m))
         expansion = sum(table[pi] * _basis_eval(X, pi) for pi in parts)
-        assert expansion == injection_sum(X, m)
+        assert expansion == injection_sum(X)
 
 
 def test_f_table_scope_and_errors():

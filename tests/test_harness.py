@@ -9,6 +9,7 @@ import hashlib
 import io
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from kmatchlab import cli, harness
 from kmatchlab.coeffs import GMODES
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
-from kmatchlab.graph import enumerate_all_graphs, parse_graph6
+from kmatchlab.graph import encode_graph6, enumerate_all_graphs, from_edge_list, parse_graph6
 from kmatchlab.harness import (
     OPTIONS_MATRIX,
     Budget,
@@ -122,7 +123,7 @@ def test_chain_is_sorted_and_respects_options_subset():
 
 
 # ClaimId order; each claim's (n_max, k_max) guard
-GUARDS = [(10, 99), (10, 99), (10, 8), (8, 6), (6, 8), (6, 8), (6, 8), (5, 8), (5, 8), (6, 5), (6, 8)]
+GUARDS = [(10, 99), (10, 99), (10, 8), (10, 6), (6, 8), (6, 8), (6, 8), (5, 8), (5, 8), (6, 5), (6, 8)]
 
 
 @pytest.mark.parametrize("claim, guard", zip(ClaimId, GUARDS), ids=[c.value for c in ClaimId])
@@ -231,6 +232,53 @@ def test_verify_all_report_golden_digest(verify_all_report, formatter, digest):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
+# a README verdict's settings: (the one under which the claim holds, the
+# one under which it fails, in every variant); a variant is under a setting
+# if the setting is one of its /-separated parts, and "" is every variant
+_README_VERDICTS = {
+    "hold everywhere": ("", None),
+    "holds everywhere": ("", None),
+    "holds in corrected mode": ("gmode=corrected", "gmode=paper"),
+    "holds under the corrected index convention": ("index=corrected", "index=paper"),
+    "false": (None, ""),
+}
+
+
+def _readme_claim_table():
+    """{claim: verdict} from the rows of the README's claim table."""
+    rows = {}
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("| `"):
+            names, _, verdict = (cell.strip() for cell in line.strip("| ").split(" | "))
+            rows.update((name, verdict) for name in re.findall(r"`(\w+)`", names))
+    return rows
+
+
+def test_readme_claim_table_agrees_with_records(verify_all_report):
+    # the hand-written verdicts of the README against the mismatches per
+    # (claim, variant) of `kmatch verify --claim all` at the default budgets
+    rows = _readme_claim_table()
+    assert set(rows) == {c.value for c in ClaimId}
+    mismatches: dict = {}
+    for r in verify_all_report.records:
+        tally = mismatches.setdefault(r.claim.value, {})
+        tally[r.variant] = tally.get(r.variant, 0) + (r.verdict == "mismatch")
+    for claim, verdict in rows.items():
+        [(holds, fails)] = [v for prefix, v in _README_VERDICTS.items() if verdict.startswith(prefix)]
+
+        def under(setting):
+            counts = [c for v, c in mismatches[claim].items() if not setting or setting in v.split("/")]
+            assert counts, (claim, setting)
+            return counts
+
+        if holds is not None:
+            assert max(under(holds)) == 0, (claim, verdict)
+        if fails is not None:
+            assert min(under(fails)) > 0, (claim, verdict)
+        for k, s in re.findall(r"fails at k=(\d+), s=(\d+)", verdict):
+            assert verify_all_report.first_counterexample[claim].startswith(f"k={int(k):02d}/s={int(s):02d}/")
+
+
 @pytest.mark.parametrize("n_max, k_max", [(3, 2), (4, 3), (4, 8)])
 def test_search_records_are_end_to_end_records(n_max, k_max):
     # verify and search produce END_TO_END records through one code path
@@ -283,6 +331,22 @@ def test_graph_walker_calls_each_plain_side_once_per_graph(monkeypatch):
     assert calls["oracle"] == graphs
     histograms = {(parse_graph6(r.head.split("/")[1][2:]).degree_counts, r.head[-2:]) for r in recs}
     assert calls["fast"] == len(histograms) * len(OPTIONS_MATRIX)
+
+
+def test_every_side_is_label_invariant():
+    # each chain referee sums over all tuples or permutations of the
+    # vertices, so it must give the same values on every relabeling of a
+    # graph: here on the images under i -> n-1-i and i -> i+1 mod n
+    sides = [harness._oracle, harness._lemma1, harness._thm1, harness._thm2, harness._lemma7, harness._fast]
+    for n in range(1, 5):
+        for g in enumerate_all_graphs(n):
+            edges = [(i, j) for i, row in enumerate(g.rows) for j in row]
+            images = [from_edge_list(n, [(f(i) + 1, f(j) + 1) for i, j in edges])
+                      for f in (lambda i: n - 1 - i, lambda i: (i + 1) % n)]
+            for side in sides:
+                want = side(g, 2)
+                for h in images:
+                    assert side(h, 2) == want, (side.__name__, encode_graph6(g), encode_graph6(h))
 
 
 @pytest.mark.parametrize("claim, lhs, rhs, by_degrees", [

@@ -2,8 +2,9 @@
 
 The counters here are each other's cross-checks: directed matchings must be
 a power-of-two multiple of matchings, the permutation double sum must agree
-with rook placements up to the same power of two, and arrangement sums over
-0/1 vectors collapse to falling factorials.
+with rook placements up to the same power of two, and arrangement sums (the
+injective sum over k copies of one row) over 0/1 vectors collapse to falling
+factorials.
 """
 
 from fractions import Fraction
@@ -19,7 +20,6 @@ from kmatchlab.graph import Graph, enumerate_all_graphs, from_edge_list, generat
 from kmatchlab.oracle import (
     MAX_MATCH_EDGES,
     MAX_MATCH_K,
-    arrangement_sum,
     count_k_directed_matchings,
     count_k_matchings,
     count_rook_placements,
@@ -162,11 +162,11 @@ def test_lemma1_invariant_under_relabeling():
 
 
 def test_arrangement_sum_frozen():
-    assert arrangement_sum((1, 1, 0), 2) == 2
-    assert arrangement_sum((1, 1, 1), 2) == 6
-    assert arrangement_sum((2, 3), 1) == 5
-    assert arrangement_sum((2, 3), 3) == 0
-    assert arrangement_sum((), 0) == 1
+    assert injection_sum(((1, 1, 0),) * 2) == 2
+    assert injection_sum(((1, 1, 1),) * 2) == 6
+    assert injection_sum(((2, 3),)) == 5
+    assert injection_sum(((2, 3),) * 3) == 0
+    assert injection_sum(((2, 3),) * 0) == 1
 
 
 @given(
@@ -175,34 +175,38 @@ def test_arrangement_sum_frozen():
 )
 def test_arrangement_on_binary_is_falling_factorial(bits, k):
     s = sum(bits)
-    assert arrangement_sum(tuple(bits), k) == falling_factorial(s, k)
+    assert injection_sum((tuple(bits),) * k) == falling_factorial(s, k)
 
 
 def test_injection_sum_frozen():
     ones = ((1, 1), (1, 1))
-    assert injection_sum(ones, 2) == 2
-    assert injection_sum(ones, 1) == 2
-    assert injection_sum(ones, 0) == 1
-    assert injection_sum(((1, 2, 3),), 1) == 6
+    assert injection_sum(ones) == 2
+    assert injection_sum(ones[:1]) == 2
+    assert injection_sum(()) == 1
+    assert injection_sum(((1, 2, 3),)) == 6
+    assert injection_sum(((1, 2),) * 3) == 0  # more rows than columns
 
 
 def test_injection_sum_column_permutation_invariant():
     X = ((1, -2, 3), (0, 4, 1), (2, 2, -1))
     Y = tuple(tuple(row[j] for j in (2, 0, 1)) for row in X)
     for m in (1, 2, 3):
-        assert injection_sum(X, m) == injection_sum(Y, m)
+        assert injection_sum(X[:m]) == injection_sum(Y[:m])
 
 
 def test_injection_sum_uses_row_prefix():
+    # the sum reads every row it is given: a caller sums fewer rows by
+    # passing a prefix of them
     X = ((1, 2), (3, 4))
-    assert injection_sum(X, 1) == injection_sum((X[0],), 1)
+    assert injection_sum(X[:1]) == 1 + 2
+    assert injection_sum(X) == 1 * 4 + 2 * 3
 
 
 def test_injection_sum_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        injection_sum(((1, 2), (3,)), 2)
+        injection_sum(((1, 2), (3,)))
     with pytest.raises(ValueError):
-        injection_sum(((1, 2),), 2)
+        injection_sum(((1,), (2, 3)))
 
 
 def test_theorem1_matches_lemma1_in_corrected_mode():
@@ -248,9 +252,8 @@ def test_capacity_guards():
         count_rook_placements(generate("path", 9), 5)
     assert count_rook_placements(generate("path", 9), 4) >= 0
     with pytest.raises(CapacityError):
-        arrangement_sum(tuple(range(11)), 2)
-    with pytest.raises(CapacityError):
-        injection_sum(tuple((1,) * 9 for _ in range(2)), 2)
+        injection_sum((tuple(range(11)),) * 2)
+    assert injection_sum(((1,) * 10,)) == 10
     with pytest.raises(CapacityError):
         lemma1_sum(generate("path", 8), 2)
     with pytest.raises(CapacityError):
