@@ -17,12 +17,13 @@ test, rhs = the reference it is supposed to equal):
   END_TO_END         fast_count  vs  matching_counts
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
-the walker that produces its records.  The six graph claims share one
-walker and are each a pair of named sides, one per chain referee (_oracle,
-_lemma1, _thm1, _thm2, _lemma7, _fast).  The walker calls each side once
-per graph, all k <= k_max, and pairs the values of each k by position.
-discrepancy_search is verify_claim(END_TO_END) behind the same guard, so
-verification and search produce records through one code path.
+its walker, which yields (head, lhs values, rhs values) per instance head;
+verify_claim alone turns those into records.  The six graph claims share
+one walker and are each a pair of named sides, one per chain referee
+(_oracle, _lemma1, _thm1, _thm2, _lemma7, _fast), each called once per
+graph for all k <= k_max.  discrepancy_search is verify_claim(END_TO_END)
+behind the same guard, so verification and search produce records through
+one code path.
 
 Records are structured: claim, instance head, variant ("", gmode=X or
 gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
@@ -49,7 +50,7 @@ from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._version import __version__
 from .coeffs import GMODES, compute_f, compute_gprime
@@ -118,10 +119,6 @@ TRIALS = 20  # seeded random instances per n (LEMMA2) and per (m, n) (LEMMA6)
 OPTIONS_MATRIX = tuple(FastCountOptions(gm, ix) for gm in GMODES for ix in INDEX_CONVENTIONS)
 
 
-def _rec(claim: ClaimId, head: str, lhs, rhs, variant: str = "") -> VerificationRecord:
-    return VerificationRecord(claim, head, lhs, rhs, "match" if lhs == rhs else "mismatch", variant)
-
-
 def _vec(x: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
 
@@ -132,10 +129,12 @@ def _mat(X: Sequence[Sequence[int]]) -> str:
 
 # -- per-claim instance walkers ----------------------------------------------
 #
-# A walker takes (claim, budget), with the budget's n_max and k_max already
-# resolved, and returns the claim's records under every convention variant
-# the claim reads, in canonical order: no caller picks a subset of the
-# convention matrix, and none sorts.
+# A walker takes a budget, with its n_max and k_max already resolved, and
+# yields (head, lhs values, rhs values) per instance head, in canonical head
+# order, each side's values in the report order of the variants it reads:
+# one value, one per gmode of GMODES or one per entry of OPTIONS_MATRIX.
+# verify_claim alone turns these into records, so no walker knows its
+# claim, a variant's spelling or a verdict, and none sorts.
 # Referees are looked up as module globals at call time, never held in a
 # spec, so that rebinding one here (a tracer's wrapper, a test's
 # monkeypatch) takes effect.
@@ -149,8 +148,7 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
     """LEMMA2/3: injection_sum((x, x)) vs the double sum minus diagonal(x), on
     every 0/1 vector x, plus seeded integer vectors if random_trials."""
 
-    def walk(claim, budget):
-        recs = []
+    def walk(budget):
         for n in range(1, budget.n_max + 1):
             xs = []  # the seed= heads sort before the x= heads
             for t in range(TRIALS if random_trials else 0):
@@ -159,33 +157,35 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
                 xs.append((f"n={n:02d}/seed={budget.seed:03d}/trial={t:02d}/x={_vec(x)}", x))
             xs += [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
             for inst, x in xs:
-                recs.append(_rec(claim, inst, injection_sum((x, x)), _double_sum(x) - diagonal(x)))
-        return recs
+                yield inst, [injection_sum((x, x))], [_double_sum(x) - diagonal(x)]
 
     return walk
 
 
-def _records_lemma4(claim, budget):
-    recs = []
-    k_max = budget.k_max
-    for k in range(2, k_max + 1):
-        gps = [(gm, compute_gprime(k, gm)) for gm in GMODES]
+def _gprime_sums(k: int, s: int) -> list[int]:
+    """Sum of g'_k(l)*s^l over l = 1..k, one per gmode of GMODES."""
+    return [sum(gp[l] * s**l for l in range(1, k + 1)) for gp in (compute_gprime(k, gm) for gm in GMODES)]
+
+
+# LEMMA4's vector half stops at k = 4: at its guard, n = 10 and k = 8, each
+# of the 1,024 vectors with n = 10 would sum P(10, 8) = 1,814,400 injective
+# maps, where k = 4 sums P(10, 4) = 5,040
+_LEMMA4_VECTOR_K = 4
+
+
+def _records_lemma4(budget):
+    # the scalar half, every k <= k_max: the g'-power expansion at each gmode
+    # vs the falling factorial
+    for k in range(2, budget.k_max + 1):
         for s in range(0, 9):
-            for gm, gp in gps:
-                lhs = sum(gp[l] * s**l for l in range(1, k + 1))
-                recs.append(_rec(claim, f"k={k:02d}/s={s:02d}", lhs, falling_factorial(s, k), f"gmode={gm}"))
-    kv_max = min(4, k_max)
+            yield f"k={k:02d}/s={s:02d}", _gprime_sums(k, s), [falling_factorial(s, k)]
+    # the vector half, k <= _LEMMA4_VECTOR_K: injection_sum on k copies of a
+    # 0/1 vector x vs the expansion at s = sum(x)
+    kv_max = min(_LEMMA4_VECTOR_K, budget.k_max)
     for n in range(1, budget.n_max + 1):
         for x in product((0, 1), repeat=n):
-            s1 = sum(x)
             for k in range(2, kv_max + 1):
-                lhs = injection_sum((x,) * k)
-                head = f"n={n:02d}/x={_vec(x)}/k={k:02d}"
-                for gm in GMODES:
-                    gp = compute_gprime(k, gm)
-                    rhs = sum(gp[l] * s1**l for l in range(1, k + 1))
-                    recs.append(_rec(claim, head, lhs, rhs, f"gmode={gm}"))
-    return recs
+                yield f"n={n:02d}/x={_vec(x)}/k={k:02d}", [injection_sum((x,) * k)], _gprime_sums(k, sum(x))
 
 
 def _lemma6_rhs(X, ftab) -> int:
@@ -199,8 +199,7 @@ def _lemma6_rhs(X, ftab) -> int:
     return total
 
 
-def _records_lemma6(claim, budget):
-    recs = []
+def _records_lemma6(budget):
     seed = budget.seed
     for m in range(2, budget.k_max + 1):
         ftab = compute_f(m)
@@ -209,8 +208,7 @@ def _records_lemma6(claim, budget):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
                 X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
                 inst = f"m={m:02d}/n={n:02d}/seed={seed:03d}/trial={t:02d}/X={_mat(X)}"
-                recs.append(_rec(claim, inst, injection_sum(X), _lemma6_rhs(X, ftab)))
-    return recs
+                yield inst, [injection_sum(X)], [_lemma6_rhs(X, ftab)]
 
 
 def _thm4_direct(n: int, adj, pi: Partition, m: int) -> int:
@@ -227,12 +225,11 @@ def _thm4_direct(n: int, adj, pi: Partition, m: int) -> int:
     return total
 
 
-def _records_thm4(claim, budget):
+def _records_thm4(budget):
     # per m, its partitions in head order: the f table's keys list each
     # partition once, but RGS order is not string order from m = 4 on
     # ({1|2,3|4} comes before {1,4|2|3})
     levels = {m: sorted(compute_f(m), key=partition_str) for m in range(1, budget.k_max + 1)}
-    recs = []
     for n in range(1, budget.n_max + 1):
         for g in enumerate_all_graphs(n):
             g6 = encode_graph6(g)
@@ -240,13 +237,11 @@ def _records_thm4(claim, budget):
             for m, pis in levels.items():
                 for pi in pis:
                     inst = f"n={n:02d}/g={g6}/m={m:02d}/pi={partition_str(pi)}"
-                    recs.append(_rec(claim, inst, _thm4_direct(n, g.adj, pi, m), partition_product(d, pi)))
-    return recs
+                    yield inst, [_thm4_direct(n, g.adj, pi, m)], [partition_product(d, pi)]
 
 
 # The chain referees, one side each: side(g, k_max) looks its referee up when
-# called and returns, for each k = 1..k_max, that k's values in report order:
-# one value, one per gmode of GMODES or one per entry of OPTIONS_MATRIX
+# called and returns, for each k = 1..k_max, that k's values in report order
 def _oracle(g, k_max): return [[c] for c in matching_counts(g, k_max)[1:]]
 def _lemma1(g, k_max): return [[lemma1_sum(g, k)] for k in range(1, k_max + 1)]
 def _thm1(g, k_max): return [[theorem1_eval(g, k, gm) for gm in GMODES] for k in range(1, k_max + 1)]
@@ -255,15 +250,15 @@ def _lemma7(g, k_max): return [[lemma7_eval(g, k, o) for o in OPTIONS_MATRIX] fo
 def _fast(g, k_max): return [[fast_count(g, k, o).value for o in OPTIONS_MATRIX] for k in range(1, k_max + 1)]
 
 
-# a graph claim's variants in report order, by its records per (graph, k)
+# the variants of a head in report order, by its records per head
 _VARIANTS = {len(vs): vs for vs in ([""], [f"gmode={gm}" for gm in GMODES],
                                      [f"gmode={o.gmode}/index={o.index_convention}" for o in OPTIONS_MATRIX])}
 
 
 @cache
 def _pairing(a: int, b: int) -> tuple[tuple[str, int, int], ...]:
-    """(variant, lhs index, rhs index) per record of a (graph, k) whose sides
-    give a and b values: record i of rows = max(a, b) reads value i * a // rows
+    """(variant, lhs index, rhs index) per record of a head whose sides give
+    a and b values: record i of rows = max(a, b) reads value i * a // rows
     of lhs and i * b // rows of rhs."""
     rows = max(a, b)
     return tuple((v, i * a // rows, i * b // rows) for i, v in enumerate(_VARIANTS[rows]))
@@ -271,24 +266,18 @@ def _pairing(a: int, b: int) -> tuple[tuple[str, int, int], ...]:
 
 def _graph_walker(lhs, rhs, by_degrees: bool = False):
     """Compare side lhs with side rhs on every labeled graph with n <= n_max
-    and every k <= k_max.
+    and every k <= k_max, yielding each (graph, k)'s head and both sides'
+    values.
 
-    A (graph, k) gets one record per value of the longer side, paired as
-    _pairing says: a gmode side's value goes with every options entry of its
-    gmode, as OPTIONS_MATRIX is gmode-major.  Each side is called once per
-    graph, all k <= k_max, but lhs, if by_degrees, sees the graph only
-    through its degree multiset and is called once per sorted degree
-    sequence over the whole walk.  Graphs come in ascending graph6 order and
-    variants in report order, so records come out in canonical order,
-    unsorted.  Each record is made by tuple.__new__ in place, with no Python
-    frame per record.
+    Each side is called once per graph, all k <= k_max, but lhs, if
+    by_degrees, sees the graph only through its degree multiset and is
+    called once per sorted degree sequence over the whole walk.  Graphs
+    come in ascending graph6 order, so heads come in canonical order.
     """
 
-    def walk(claim, budget):
+    def walk(budget):
         k_max = budget.k_max
         memo: dict = {}
-        recs: list[VerificationRecord] = []
-        append, new = recs.append, tuple.__new__
         for n in range(1, budget.n_max + 1):
             for g in enumerate_all_graphs(n):
                 if by_degrees:
@@ -300,23 +289,20 @@ def _graph_walker(lhs, rhs, by_degrees: bool = False):
                     lvs = lhs(g, k_max)
                 prefix = f"n={n:02d}/g={encode_graph6(g)}/k="
                 for k, lv, rv in zip(range(1, k_max + 1), lvs, rhs(g, k_max)):
-                    head = f"{prefix}{k:02d}"
-                    for variant, i, j in _pairing(len(lv), len(rv)):
-                        l, r = lv[i], rv[j]
-                        verdict = "match" if l == r else "mismatch"
-                        append(new(VerificationRecord, (claim, head, l, r, verdict, variant)))
-        return recs
+                    yield f"{prefix}{k:02d}", lv, rv
 
     return walk
 
 
 @dataclass(frozen=True)
 class ClaimSpec:
-    """One claim: its default budget, its guard and its record walker.
+    """One claim: its default budget, its guard and its walker.
 
     Both pairs are (n_max, k_max).  k_max doubles as the polynomial-k bound
     for LEMMA4 and as the ground-set bound m for LEMMA6/THM4_FACTORIZATION;
-    LEMMA2/3 fix k=2, so their k budget is moot.  A claim that walks every
+    LEMMA2/3 fix k=2, so their k budget is moot.  LEMMA4 walks its scalar
+    (k, s) half at every k <= k_max but its 0/1-vector half only at
+    k <= min(4, k_max), _LEMMA4_VECTOR_K.  A claim that walks every
     labeled graph has graph.MAX_ENUM_N, the one bound of that walk, as its n
     guard, whatever its referees admit per graph; other guards are the
     referees' own MAX_* bounds.  END_TO_END's guard is also the search's.
@@ -324,7 +310,7 @@ class ClaimSpec:
 
     defaults: tuple[int, int]
     guard: tuple[int, int]
-    walk: Callable[[ClaimId, Budget], list[VerificationRecord]]
+    walk: Callable[[Budget], Iterator[tuple[str, Sequence, Sequence]]]
 
 
 _SPECS: dict[ClaimId, ClaimSpec] = {
@@ -362,8 +348,21 @@ def resolve_budget(claim: ClaimId, budget: Budget | None = None) -> Budget:
 
 def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
     """Evaluate both sides of one claim on every instance in the budget, under
-    every convention variant it reads, in the canonical order the walker emits."""
-    return _SPECS[claim].walk(claim, resolve_budget(claim, budget))
+    every convention variant it reads, in the canonical order the walker emits.
+
+    This is the one place where compared values become records.  A head gets
+    one record per value of its longer side, paired as _pairing says: a
+    gmode's value goes with every options entry of its gmode, as
+    OPTIONS_MATRIX is gmode-major, and a lone value with every variant.  Each
+    record is made by tuple.__new__ in place, with no Python frame per record.
+    """
+    recs: list[VerificationRecord] = []
+    append, new = recs.append, tuple.__new__
+    for head, lv, rv in _SPECS[claim].walk(resolve_budget(claim, budget)):
+        for variant, i, j in _pairing(len(lv), len(rv)):
+            l, r = lv[i], rv[j]
+            append(new(VerificationRecord, (claim, head, l, r, "match" if l == r else "mismatch", variant)))
+    return recs
 
 
 # -- discrepancy search ------------------------------------------------------

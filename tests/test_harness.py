@@ -8,6 +8,7 @@ records they summarize.
 import hashlib
 import io
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,15 @@ def test_lemma4_split_verdicts_by_gmode():
     broken = [r for r in recs if r.instance == "k=02/s=02/gmode=paper"]
     assert len(broken) == 1
     assert (broken[0].lhs, broken[0].rhs, broken[0].verdict) == (6, 2, "mismatch")
+
+
+def test_lemma4_vector_half_stops_at_k4():
+    # the scalar (k, s) half runs to k_max, the 0/1-vector half to k = 4
+    recs = verify_claim(ClaimId.LEMMA4, Budget(n_max=3, k_max=8))
+    vector_ks = {int(r.head[-2:]) for r in recs if "/x=" in r.head}
+    scalar_ks = {int(r.head[2:4]) for r in recs if "/s=" in r.head}
+    assert vector_ks == {2, 3, 4}
+    assert scalar_ks == set(range(2, 9))
 
 
 def test_lemma6_all_match_and_trial_counts():
@@ -353,7 +363,7 @@ def test_every_side_is_label_invariant():
     (ClaimId.LEMMA1_VS_ORACLE, "_lemma1", "_oracle", False),
     (ClaimId.END_TO_END, "_fast", "_oracle", True),
 ], ids=["LEMMA1_VS_ORACLE", "END_TO_END"])
-def test_graph_walker_calls_each_side_once_per_graph_for_all_k(claim, lhs, rhs, by_degrees):
+def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, claim, lhs, rhs, by_degrees):
     # a side answers every k <= k_max in one call: once per graph, or, if
     # it sees only degrees, once per sorted degree sequence
     seen = {lhs: [], rhs: []}
@@ -365,8 +375,10 @@ def test_graph_walker_calls_each_side_once_per_graph_for_all_k(claim, lhs, rhs, 
         return side
 
     budget = Budget(n_max=3, k_max=3)
+    want = verify_claim(claim, budget)
     walk = harness._graph_walker(counted(lhs), counted(rhs), by_degrees)
-    assert walk(claim, budget) == verify_claim(claim, budget)
+    monkeypatch.setitem(harness._SPECS, claim, replace(harness._SPECS[claim], walk=walk))
+    assert verify_claim(claim, budget) == want
     graphs = [g for n in range(1, budget.n_max + 1) for g in enumerate_all_graphs(n)]
     assert seen[rhs] == [(g, budget.k_max) for g in graphs]
     if by_degrees:
