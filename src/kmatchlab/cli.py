@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from itertools import islice
-from typing import Iterator, Mapping
 
 from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError, Graph6ParseError
@@ -42,7 +41,7 @@ from .oracle import (
     count_rook_placements,
     lemma1_sum,
 )
-from .partitions import Partition, partition_str
+from .partitions import by_str
 
 
 def _load_graph(spec: str) -> Graph:
@@ -151,21 +150,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _f_entries(f: Mapping[Partition, int]) -> Iterator[tuple[str, int]]:
-    """(partition_str(pi), f(pi)) for every key of the f table f, in ascending
-    string order, which is the key order of sorted JSON.
-
-    The partitions that share a first block B make one run of that order,
-    since all their strings start with "{B|" (or are "{B}"), so the table's
-    strings are built and sorted one run at a time, never all at once.
-    """
-    runs: dict[tuple[int, ...], list[Partition]] = {}
-    for pi in f:
-        runs.setdefault(pi[0], []).append(pi)
-    for run in sorted(runs.values(), key=lambda r: partition_str(r[0])):
-        yield from sorted([(partition_str(pi), f[pi]) for pi in run])
-
-
 # `coeffs --what f` writes its entries this many at a time
 _F_CHUNK = 4096
 
@@ -176,9 +160,10 @@ def _cmd_coeffs(args) -> int:
         _emit_json({"k": args.k, "mode": args.gmode, "g": {str(l): str(v) for l, v in row.items()}})
         return 0
     # the bytes of _emit_json({"m": m, "f": {partition_str(pi): str(v), ...}}),
-    # written a chunk of entries at a time, so the report's text is never whole
+    # written a chunk of entries at a time, so the report's text is never whole;
+    # by_str's string order is the key order of sorted JSON
     f = compute_f(args.k)
-    entries = (f'"{key}":"{v}"' for key, v in _f_entries(f))
+    entries = (f'"{key}":"{f[pi]}"' for key, pi in by_str(f))
     _write_stdout('{"f":{')
     sep = ""
     while chunk := list(islice(entries, _F_CHUNK)):

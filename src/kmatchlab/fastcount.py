@@ -27,8 +27,8 @@ None of them is asserted correct here; the harness compares each against
 brute-force ground truth and records verdicts.
 
 lemma7_eval is the same quantity before the summation interchange and
-power-sum factorization: fully nested j-tuple and p-tuple sums, kept
-literal so the interchange itself can be checked.
+power-sum factorization: f(pi) times partition_sum, the literal tuple sum
+that partition_product factors (THM4), so the interchange can be checked.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 from .coeffs import GMODES, MAX_FAST_K, compute_f, compute_f_types, compute_gprime
 from .errors import CapacityError
 from .exact import falling_factorial
-from .graph import Graph
+from .graph import MAX_ENUM_N, Graph
 from .partitions import Partition
 
 # alphabetical, which is report order, as coeffs.GMODES
@@ -93,6 +93,26 @@ def power_sum(d: Sequence[int], e: int) -> int:
 def partition_product(d: Sequence[int], pi: Partition) -> int:
     """Product over blocks B of pi of power_sum(d, |B|)."""
     return prod(power_sum(d, len(b)) for b in pi)
+
+
+def partition_sum(g: Graph, pi: Partition) -> int:
+    """Fully nested transcription: sum over p-tuples (a vertex per block of pi)
+    and all j-tuples (a vertex per element i) of prod adj[j_i][p_h], i in b_h."""
+    n = g.n
+    if n > MAX_ENUM_N:
+        raise CapacityError(f"partition sum refused: n={n} > {MAX_ENUM_N}")
+    m = sum(map(len, pi))
+    block_of = [0] * m
+    for h, b in enumerate(pi):
+        for i in b:
+            block_of[i - 1] = h
+    adj = g.adj
+    total = 0
+    for pt in product(range(n), repeat=len(pi)):
+        # element i reads column p_h of adj, which is row p_h: adj is symmetric
+        lists = [adj[pt[h]] for h in block_of]
+        total += sum(map(prod, product(*lists)))
+    return total
 
 
 def _bracket(sums: Mapping[int, int], m: int) -> int:
@@ -152,9 +172,9 @@ def fast_count(g: Graph, k: int, options: FastCountOptions | None = None) -> Cou
 def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fraction:
     """The partition-expanded form before the summation interchange, literal.
 
-    For each l the j-tuple and the per-partition p-tuple are fully nested
-    explicit sums over {1..n}^m and {1..n}^q; the ground set m follows the
-    chosen index convention (m=l corrected, m=k paper).
+    For each l, s_l sums f(pi) * partition_sum(g, pi) over the partitions
+    pi of the ground set, m = l (corrected) or m = k (paper): every
+    j-tuple in {1..n}^m and every p-tuple in {1..n}^|pi| is enumerated.
     """
     if options is None:
         options = FastCountOptions()
@@ -165,26 +185,10 @@ def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fr
         raise CapacityError(f"nested tuple sum refused: n={n} > {MAX_LEMMA7_N}")
     if k > n:
         return Fraction(0)
-    adj = g.adj
     gp = compute_gprime(k, options.gmode)
     total = 0
     for l in range(1, k + 1):
         m = k if options.index_convention == "paper" else l
-        parts = [
-            (fv, len(pi), [(i - 1, h) for h, b in enumerate(pi) for i in b])
-            for pi, fv in compute_f(m).items()
-        ]
-        s_l = 0
-        for jt in product(range(n), repeat=m):
-            for fv, q, pairs in parts:
-                inner = 0
-                for pt in product(range(n), repeat=q):
-                    term = 1
-                    for i, h in pairs:
-                        if not adj[jt[i]][pt[h]]:
-                            term = 0
-                            break
-                    inner += term
-                s_l += fv * inner
+        s_l = sum(fv * partition_sum(g, pi) for pi, fv in compute_f(m).items())
         total += factorial(n - l) * gp[l] * s_l
     return Fraction(total, factorial(k) * factorial(n - k) * 2**k)

@@ -13,17 +13,18 @@ test, rhs = the reference it is supposed to equal):
   THM2_VS_THM1       theorem2_eval  vs  theorem1_eval
   LEMMA7_VS_THM2     lemma7_eval  vs  theorem2_eval (same gmode)
   THM3_VS_LEMMA7     fast_count  vs  lemma7_eval
-  THM4_FACTORIZATION direct nested double sum  vs  partition_product
+  THM4_FACTORIZATION partition_product  vs  partition_sum
   END_TO_END         fast_count  vs  matching_counts
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
 its walker, which yields (head, lhs values, rhs values) per instance head;
-verify_claim alone turns those into records.  The six graph claims share
-one walker and are each a pair of named sides, one per chain referee
-(_oracle, _lemma1, _thm1, _thm2, _lemma7, _fast), each called once per
-graph for all k <= k_max.  discrepancy_search is verify_claim(END_TO_END)
-behind the same guard, so verification and search produce records through
-one code path.
+verify_claim alone turns those into records.  The seven graph claims share
+one walker and are each a pair of named sides, each called once per graph
+for every head tail of k_max, spelled once per walk: one per chain referee
+(_oracle, _lemma1, _thm1, _thm2, _lemma7, _fast) with tails k=KK, and
+THM4's _products and _sums with tails m=MM/pi={...}.  discrepancy_search
+is verify_claim(END_TO_END) behind the same guard, so verification and
+search produce records through one code path.
 
 Records are structured: claim, instance head, variant ("", gmode=X or
 gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
@@ -56,11 +57,12 @@ from ._version import __version__
 from .coeffs import GMODES, compute_f, compute_gprime
 from .errors import CapacityError
 from .exact import falling_factorial
-from .fastcount import INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product
+from .fastcount import (INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product,
+                        partition_sum)
 from .graph import MAX_ENUM_N, encode_graph6, enumerate_all_graphs
 from .oracle import (MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, injection_sum, lemma1_sum, matching_counts,
                      theorem1_eval, theorem2_eval)
-from .partitions import Partition, partition_str
+from .partitions import Partition, by_str
 
 
 class ClaimId(Enum):
@@ -188,7 +190,7 @@ def _records_lemma4(budget):
                 yield f"n={n:02d}/x={_vec(x)}/k={k:02d}", [injection_sum((x,) * k)], _gprime_sums(k, sum(x))
 
 
-def _lemma6_rhs(X, ftab) -> int:
+def _lemma6_expansion(X, ftab) -> int:
     n = len(X[0])
     total = 0
     for pi, val in ftab.items():
@@ -208,36 +210,7 @@ def _records_lemma6(budget):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
                 X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
                 inst = f"m={m:02d}/n={n:02d}/seed={seed:03d}/trial={t:02d}/X={_mat(X)}"
-                yield inst, [injection_sum(X)], [_lemma6_rhs(X, ftab)]
-
-
-def _thm4_direct(n: int, adj, pi: Partition, m: int) -> int:
-    """Fully nested transcription: sum over p-tuples and all j-tuples."""
-    block_of = [0] * m
-    for h, b in enumerate(pi):
-        for i in b:
-            block_of[i - 1] = h
-    total = 0
-    for pt in product(range(n), repeat=len(pi)):
-        # element i reads column p_h of adj, which is row p_h: adj is symmetric
-        lists = [adj[pt[h]] for h in block_of]
-        total += sum(map(prod, product(*lists)))
-    return total
-
-
-def _records_thm4(budget):
-    # per m, its partitions in head order: the f table's keys list each
-    # partition once, but RGS order is not string order from m = 4 on
-    # ({1|2,3|4} comes before {1,4|2|3})
-    levels = {m: sorted(compute_f(m), key=partition_str) for m in range(1, budget.k_max + 1)}
-    for n in range(1, budget.n_max + 1):
-        for g in enumerate_all_graphs(n):
-            g6 = encode_graph6(g)
-            d = g.degrees
-            for m, pis in levels.items():
-                for pi in pis:
-                    inst = f"n={n:02d}/g={g6}/m={m:02d}/pi={partition_str(pi)}"
-                    yield inst, [_thm4_direct(n, g.adj, pi, m)], [partition_product(d, pi)]
+                yield inst, [_lemma6_expansion(X, ftab)], [injection_sum(X)]
 
 
 # The chain referees, one side each: side(g, k_max) looks its referee up when
@@ -248,6 +221,25 @@ def _thm1(g, k_max): return [[theorem1_eval(g, k, gm) for gm in GMODES] for k in
 def _thm2(g, k_max): return [[theorem2_eval(g, k, gm) for gm in GMODES] for k in range(1, k_max + 1)]
 def _lemma7(g, k_max): return [[lemma7_eval(g, k, o) for o in OPTIONS_MATRIX] for k in range(1, k_max + 1)]
 def _fast(g, k_max): return [[fast_count(g, k, o).value for o in OPTIONS_MATRIX] for k in range(1, k_max + 1)]
+
+
+@cache
+def _thm4_partitions(m_max: int) -> tuple[tuple[str, Partition], ...]:
+    """(head tail, pi) per partition pi of {1..m}, m <= m_max, m ascending, then
+    in string order, not the f table's RGS order ({1|2,3|4} before {1,4|2|3})."""
+    return tuple((f"m={m:02d}/pi={s}", pi) for m in range(1, m_max + 1) for s, pi in by_str(compute_f(m)))
+
+
+# THM4's sides, one value per partition of {1..m}, m <= m_max: the factored
+# form under test, which reads only degrees, and the literal sum
+def _products(g, m_max): return [[partition_product(g.degrees, pi)] for _, pi in _thm4_partitions(m_max)]
+def _sums(g, m_max): return [[partition_sum(g, pi)] for _, pi in _thm4_partitions(m_max)]
+
+
+# a walker's head tails per graph, for its k_max: one per k, or one per
+# THM4 partition
+def _k_tails(k_max): return [f"k={k:02d}" for k in range(1, k_max + 1)]
+def _pi_tails(m_max): return [tail for tail, _ in _thm4_partitions(m_max)]
 
 
 # the variants of a head in report order, by its records per head
@@ -264,19 +256,20 @@ def _pairing(a: int, b: int) -> tuple[tuple[str, int, int], ...]:
     return tuple((v, i * a // rows, i * b // rows) for i, v in enumerate(_VARIANTS[rows]))
 
 
-def _graph_walker(lhs, rhs, by_degrees: bool = False):
-    """Compare side lhs with side rhs on every labeled graph with n <= n_max
-    and every k <= k_max, yielding each (graph, k)'s head and both sides'
-    values.
+def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
+    """Compare side lhs with side rhs on every labeled graph with n <= n_max,
+    yielding a head per tail of tails(k_max) and both sides' values for it.
 
-    Each side is called once per graph, all k <= k_max, but lhs, if
+    Each side is called once per graph and answers every tail, but lhs, if
     by_degrees, sees the graph only through its degree multiset and is
     called once per sorted degree sequence over the whole walk.  Graphs
-    come in ascending graph6 order, so heads come in canonical order.
+    come in ascending graph6 order, then tails in their canonical order,
+    so heads come in canonical order.
     """
 
     def walk(budget):
         k_max = budget.k_max
+        tail_list = tails(k_max)
         memo: dict = {}
         for n in range(1, budget.n_max + 1):
             for g in enumerate_all_graphs(n):
@@ -287,9 +280,9 @@ def _graph_walker(lhs, rhs, by_degrees: bool = False):
                         lvs = memo[key] = lhs(g, k_max)
                 else:
                     lvs = lhs(g, k_max)
-                prefix = f"n={n:02d}/g={encode_graph6(g)}/k="
-                for k, lv, rv in zip(range(1, k_max + 1), lvs, rhs(g, k_max)):
-                    yield f"{prefix}{k:02d}", lv, rv
+                prefix = f"n={n:02d}/g={encode_graph6(g)}/"
+                for tail, lv, rv in zip(tail_list, lvs, rhs(g, k_max)):
+                    yield prefix + tail, lv, rv
 
     return walk
 
@@ -302,10 +295,11 @@ class ClaimSpec:
     for LEMMA4 and as the ground-set bound m for LEMMA6/THM4_FACTORIZATION;
     LEMMA2/3 fix k=2, so their k budget is moot.  LEMMA4 walks its scalar
     (k, s) half at every k <= k_max but its 0/1-vector half only at
-    k <= min(4, k_max), _LEMMA4_VECTOR_K.  A claim that walks every
-    labeled graph has graph.MAX_ENUM_N, the one bound of that walk, as its n
-    guard, whatever its referees admit per graph; other guards are the
-    referees' own MAX_* bounds.  END_TO_END's guard is also the search's.
+    k <= min(4, k_max), _LEMMA4_VECTOR_K.  The seven claims that walk every
+    labeled graph, each a _graph_walker, have graph.MAX_ENUM_N, the one
+    bound of that walk, as their n guard, or their referees' own bound if
+    it is lower (the lemma 7 claims); other guards are the referees' own
+    MAX_* bounds.  END_TO_END's guard is also the search's.
     """
 
     defaults: tuple[int, int]
@@ -324,7 +318,7 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
     ClaimId.THM2_VS_THM1: ClaimSpec((4, 2), (MAX_THEOREM2_N, 8), _graph_walker(_thm2, _thm1)),
     ClaimId.LEMMA7_VS_THM2: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(_lemma7, _thm2)),
     ClaimId.THM3_VS_LEMMA7: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(_fast, _lemma7, by_degrees=True)),
-    ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _records_thm4),
+    ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _graph_walker(_products, _sums, True, _pi_tails)),
     ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(_fast, _oracle, by_degrees=True)),
 }
 

@@ -4,7 +4,8 @@ A set partition is the canonical tuple of its blocks itself, for example
 ``((1, 3), (2,))``: elements ascend within each block and blocks are ordered
 by their minimum element, so a partition is an exact lookup key for
 coefficient tables as it stands.  ``partition_str`` writes it as
-``{1,3|2}``, the form of THM4 instances and ``kmatch coeffs --what f``.
+``{1,3|2}``, the form of THM4 instances and ``kmatch coeffs --what f``,
+and ``by_str`` puts partitions in the order of those strings.
 
 Level m grows from level m-1 by inserting m, the largest element: ``grow``
 joins m to each block in turn, then adds {m} as a new singleton.  Read as a
@@ -17,7 +18,7 @@ yields level m in RGS-lexicographic order, already canonical.  The keys of
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 MAX_ENUM_M = 12  # B_12 ~ 4.2M partitions; the f table refuses beyond this
 
@@ -33,6 +34,20 @@ def _block_str(b: tuple[int, ...]) -> str:
 def partition_str(pi: Partition) -> str:
     """``{1,3|2}``: blocks in order, split by ``|``, elements by ``,``."""
     return "{" + "|".join(map(_block_str, pi)) + "}"
+
+
+def by_str(pis: Iterable[Partition]) -> Iterator[tuple[str, Partition]]:
+    """(partition_str(pi), pi) for every pi of pis, in ascending string order.
+
+    The partitions that share a first block B make one run of that order,
+    since all their strings start with "{B|" (or are "{B}"), so the strings
+    are built and sorted one run at a time, never all at once.
+    """
+    runs: dict[tuple[int, ...], list[Partition]] = {}
+    for pi in pis:
+        runs.setdefault(pi[0], []).append(pi)
+    for run in sorted(runs.values(), key=lambda r: partition_str(r[0])):
+        yield from sorted([(partition_str(pi), pi) for pi in run])
 
 
 def grow(pi: Partition, m: int) -> Iterator[tuple[Partition, int]]:

@@ -24,9 +24,11 @@ from kmatchlab.fastcount import (
     fast_count,
     lemma7_eval,
     partition_product,
+    partition_sum,
     power_sum,
 )
 from kmatchlab.graph import (
+    MAX_ENUM_N,
     degree_vector,
     enumerate_all_graphs,
     from_edge_list,
@@ -115,6 +117,20 @@ def test_partition_product_examples(c4, p3):
     assert partition_product(dc4, one_pair) == 16
     assert partition_product(dp3, one_pair) == 6
     assert partition_product(dp3, two_singles) == 16
+
+
+def test_partition_sum_examples(c4, p3):
+    # the literal sum equals its factored twin on the same examples
+    for g, d in ((c4, degree_vector(c4)), (p3, degree_vector(p3))):
+        for pi in (((1,), (2,)), ((1, 2),), ((1, 3), (2,)), ((1,), (2,), (3,))):
+            assert partition_sum(g, pi) == partition_product(d, pi)
+
+
+def test_partition_sum_refuses_past_the_enumeration_bound():
+    g = from_edge_list(MAX_ENUM_N + 1, [(1, 2)])
+    with pytest.raises(CapacityError):
+        partition_sum(g, ((1,),))
+    assert "adj" not in vars(g)  # refused before the matrix is built
 
 
 def _elementary_symmetric(d, m):

@@ -344,10 +344,12 @@ def test_graph_walker_calls_each_plain_side_once_per_graph(monkeypatch):
 
 
 def test_every_side_is_label_invariant():
-    # each chain referee sums over all tuples or permutations of the
-    # vertices, so it must give the same values on every relabeling of a
-    # graph: here on the images under i -> n-1-i and i -> i+1 mod n
-    sides = [harness._oracle, harness._lemma1, harness._thm1, harness._thm2, harness._lemma7, harness._fast]
+    # each chain referee, and each THM4 side, sums over all tuples or
+    # permutations of the vertices, so it must give the same values on every
+    # relabeling of a graph: here on the images under i -> n-1-i and
+    # i -> i+1 mod n
+    sides = [harness._oracle, harness._lemma1, harness._thm1, harness._thm2, harness._lemma7, harness._fast,
+             harness._products, harness._sums]
     for n in range(1, 5):
         for g in enumerate_all_graphs(n):
             edges = [(i, j) for i, row in enumerate(g.rows) for j in row]
@@ -359,13 +361,15 @@ def test_every_side_is_label_invariant():
                     assert side(h, 2) == want, (side.__name__, encode_graph6(g), encode_graph6(h))
 
 
-@pytest.mark.parametrize("claim, lhs, rhs, by_degrees", [
-    (ClaimId.LEMMA1_VS_ORACLE, "_lemma1", "_oracle", False),
-    (ClaimId.END_TO_END, "_fast", "_oracle", True),
-], ids=["LEMMA1_VS_ORACLE", "END_TO_END"])
-def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, claim, lhs, rhs, by_degrees):
-    # a side answers every k <= k_max in one call: once per graph, or, if
-    # it sees only degrees, once per sorted degree sequence
+@pytest.mark.parametrize("claim, lhs, rhs, by_degrees, tails", [
+    (ClaimId.LEMMA1_VS_ORACLE, "_lemma1", "_oracle", False, "_k_tails"),
+    (ClaimId.END_TO_END, "_fast", "_oracle", True, "_k_tails"),
+    (ClaimId.THM4_FACTORIZATION, "_products", "_sums", True, "_pi_tails"),
+], ids=["LEMMA1_VS_ORACLE", "END_TO_END", "THM4_FACTORIZATION"])
+def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, claim, lhs, rhs, by_degrees, tails):
+    # a side answers every k <= k_max (every THM4 partition of {1..m},
+    # m <= k_max) in one call: once per graph, or, if it sees only degrees,
+    # once per sorted degree sequence
     seen = {lhs: [], rhs: []}
 
     def counted(name):
@@ -376,7 +380,7 @@ def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, clai
 
     budget = Budget(n_max=3, k_max=3)
     want = verify_claim(claim, budget)
-    walk = harness._graph_walker(counted(lhs), counted(rhs), by_degrees)
+    walk = harness._graph_walker(counted(lhs), counted(rhs), by_degrees, getattr(harness, tails))
     monkeypatch.setitem(harness._SPECS, claim, replace(harness._SPECS[claim], walk=walk))
     assert verify_claim(claim, budget) == want
     graphs = [g for n in range(1, budget.n_max + 1) for g in enumerate_all_graphs(n)]

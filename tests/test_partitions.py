@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from kmatchlab.coeffs import compute_f
 from kmatchlab.errors import CapacityError
 from kmatchlab.harness import Budget, ClaimId, verify_claim
-from kmatchlab.partitions import MAX_ENUM_M, grow, partition_str
+from kmatchlab.partitions import MAX_ENUM_M, by_str, grow, partition_str
 
 
 def stirling2(m, q):
@@ -100,6 +100,15 @@ def test_enumeration_order_is_rgs_lex():
             rgss.append(rgs)
         assert all(a < b for a, b in zip(rgss, rgss[1:]))
         assert len(rgss) == bell(m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_by_str_yields_each_partition_once_in_string_order(m):
+    f = compute_f(m)
+    got = list(by_str(f))
+    assert [s for s, _ in got] == sorted(map(partition_str, f))
+    assert [partition_str(pi) for _, pi in got] == [s for s, _ in got]
+    assert sorted(pi for _, pi in got) == sorted(f)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
