@@ -174,7 +174,9 @@ def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fr
 
     For each l, s_l sums f(pi) * partition_sum(g, pi) over the partitions
     pi of the ground set, m = l (corrected) or m = k (paper): every
-    j-tuple in {1..n}^m and every p-tuple in {1..n}^|pi| is enumerated.
+    j-tuple in {1..n}^m and every p-tuple in {1..n}^|pi| is enumerated,
+    once per call for each distinct m, so the paper convention's one
+    ground set is summed once, not once per l.
     """
     if options is None:
         options = FastCountOptions()
@@ -186,9 +188,11 @@ def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fr
     if k > n:
         return Fraction(0)
     gp = compute_gprime(k, options.gmode)
+    sums: dict[int, int] = {}  # the literal sum per ground-set size m
     total = 0
     for l in range(1, k + 1):
         m = k if options.index_convention == "paper" else l
-        s_l = sum(fv * partition_sum(g, pi) for pi, fv in compute_f(m).items())
-        total += factorial(n - l) * gp[l] * s_l
+        if m not in sums:
+            sums[m] = sum(fv * partition_sum(g, pi) for pi, fv in compute_f(m).items())
+        total += factorial(n - l) * gp[l] * sums[m]
     return Fraction(total, factorial(k) * factorial(n - k) * 2**k)

@@ -17,16 +17,18 @@ Supported external formats:
 * plain edge-list text (input only): first line ``n m``, then m lines ``a b``
 
 An edge mask is graph6's data bits without their padding (graph_from_mask),
-so ascending masks are graphs in ascending graph6 order, and the graph6
-parser decodes through the same function as the enumeration.
+so ascending masks are graphs in ascending graph6 order, the graph6 parser
+decodes through the same function as the enumeration, and graph6 is spelled
+from a mask by one encoder (graph6_from_mask).  graph_classes sorts the masks
+on n <= MAX_ENUM_N vertices into isomorphism classes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, permutations
 from typing import Iterator
 import random
 
@@ -43,6 +45,10 @@ class Graph:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __str__(self) -> str:
+        """The graph's graph6 string."""
+        return encode_graph6(self)
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -130,6 +136,40 @@ def enumerate_all_graphs(n: int) -> Iterator[Graph]:
     return (graph_from_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
 
 
+def graph_classes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(class id per edge mask, smallest mask per class) of the isomorphism
+    classes of the graphs on n <= MAX_ENUM_N vertices, n checked on call.
+
+    Class ids count up from 0 in ascending order of the classes' smallest
+    masks, each class's representative.  Built once per n.
+    """
+    enumerate_all_graphs(n)  # its n bound, checked before any work; makes no graph
+    return _orbit_table(n)
+
+
+@cache
+def _orbit_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """graph_classes(n) by orbit marking: the first unmarked mask in ascending
+    order is a new class's smallest mask, and each of its images under the n!
+    relabelings is marked with the class id; no canonical form is needed."""
+    # bit b of a mask is pairs[b], as in graph_from_mask
+    pairs = [(i, j) for j in range(1, n) for i in range(j)][::-1]
+    bit = {}
+    for b, (i, j) in enumerate(pairs):
+        bit[i, j] = bit[j, i] = b
+    # per relabeling s, the image of each mask bit, as a one-bit mask
+    moves = [[1 << bit[s[i], s[j]] for i, j in pairs] for s in permutations(range(n))]
+    class_of = [-1] * (1 << len(pairs))
+    reps: list[int] = []
+    for mask, c in enumerate(class_of):
+        if c < 0:
+            ones = [b for b in range(len(pairs)) if mask >> b & 1]
+            for move in moves:
+                class_of[sum([move[b] for b in ones])] = len(reps)
+            reps.append(mask)
+    return tuple(class_of), tuple(reps)
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
     """The graph whose graph6 data bits, without padding, are ``mask``.
 
@@ -187,16 +227,24 @@ def parse_graph6(text: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Inverse serializer for :func:`parse_graph6`."""
-    if g.n > 62:
-        raise ValueError(f"graph6 single-byte order limited to n <= 62, got {g.n}")
-    # bit j(j-1)/2 + i is pair (i, j), column-major, padded to whole bytes;
-    # bit 0 is the highest of the nbits-bit integer x, read 6 bits at a time
-    nbits = (g.n * (g.n - 1) // 2 + 5) // 6 * 6
-    x = 0
+    # pair p = j(j-1)/2 + i is bit nbits-1-p of the mask, as in graph_from_mask
+    top = g.n * (g.n - 1) // 2 - 1
+    mask = 0
     for i, row in enumerate(g.rows):
         for j in row:
-            x |= 1 << (nbits - 1 - j * (j - 1) // 2 - i)
-    return chr(g.n + 63) + "".join([chr((x >> off & 63) + 63) for off in range(nbits - 6, -1, -6)])
+            mask |= 1 << (top - j * (j - 1) // 2 - i)
+    return graph6_from_mask(g.n, mask)
+
+
+def graph6_from_mask(n: int, mask: int) -> str:
+    """The graph6 string of graph_from_mask(n, mask), built from the mask alone."""
+    if n > 62:
+        raise ValueError(f"graph6 single-byte order limited to n <= 62, got {n}")
+    # the data bits padded to whole bytes, read 6 bits at a time, high first
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    x = mask << pad
+    return chr(n + 63) + "".join([chr((x >> off & 63) + 63) for off in range(nbits + pad - 6, -1, -6)])
 
 
 # -- edge-list text ----------------------------------------------------------

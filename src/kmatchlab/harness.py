@@ -19,10 +19,11 @@ test, rhs = the reference it is supposed to equal):
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
 its walker, which yields (head, lhs values, rhs values) per instance head;
 verify_claim alone turns those into records.  The seven graph claims share
-one walker and are each a pair of named sides, each called once per graph
-for every head tail of k_max, spelled once per walk: one per chain referee
-(_oracle, _lemma1, _thm1, _thm2, _lemma7, _fast) with tails k=KK, and
-THM4's _products and _sums with tails m=MM/pi={...}.  discrepancy_search
+one walker and are each a pair of named sides, each called once per
+isomorphism class of graphs for every head tail of k_max, spelled once per
+walk: one per chain referee (_oracle, _lemma1, _thm1, _thm2, _lemma7, _fast)
+with tails k=KK, and THM4's _products and _sums with tails m=MM/pi={...}.
+Every labeled graph of a class gets its class's values.  discrepancy_search
 is verify_claim(END_TO_END) behind the same guard, so verification and
 search produce records through one code path.
 
@@ -59,7 +60,7 @@ from .errors import CapacityError
 from .exact import falling_factorial
 from .fastcount import (INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_count, lemma7_eval, partition_product,
                         partition_sum)
-from .graph import MAX_ENUM_N, encode_graph6, enumerate_all_graphs
+from .graph import MAX_ENUM_N, graph6_from_mask, graph_classes, graph_from_mask
 from .oracle import (MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, injection_sum, lemma1_sum, matching_counts,
                      theorem1_eval, theorem2_eval)
 from .partitions import Partition, by_str
@@ -260,11 +261,15 @@ def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
     """Compare side lhs with side rhs on every labeled graph with n <= n_max,
     yielding a head per tail of tails(k_max) and both sides' values for it.
 
-    Each side is called once per graph and answers every tail, but lhs, if
-    by_degrees, sees the graph only through its degree multiset and is
-    called once per sorted degree sequence over the whole walk.  Graphs
-    come in ascending graph6 order, then tails in their canonical order,
-    so heads come in canonical order.
+    Every side sums over all vertex tuples or permutations, so its values
+    depend only on the graph's isomorphism class: each side is called once
+    per class of graph.graph_classes, on the class's smallest-mask graph,
+    and answers every tail, but lhs, if by_degrees, sees the graph only
+    through its degree multiset and is called once per sorted degree
+    sequence over the whole walk.  Every labeled graph then gets its class's
+    values, in ascending mask order, which is graph6 order, its graph6
+    spelled from its mask, then tails in their canonical order, so heads
+    come in canonical order.
     """
 
     def walk(budget):
@@ -272,7 +277,10 @@ def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
         tail_list = tails(k_max)
         memo: dict = {}
         for n in range(1, budget.n_max + 1):
-            for g in enumerate_all_graphs(n):
+            class_of, reps = graph_classes(n)
+            rows = []  # per class, (tail, lhs values, rhs values) per tail
+            for rep in reps:
+                g = graph_from_mask(n, rep)
                 if by_degrees:
                     key = tuple(sorted(g.degrees))
                     lvs = memo.get(key)
@@ -280,8 +288,10 @@ def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
                         lvs = memo[key] = lhs(g, k_max)
                 else:
                     lvs = lhs(g, k_max)
-                prefix = f"n={n:02d}/g={encode_graph6(g)}/"
-                for tail, lv, rv in zip(tail_list, lvs, rhs(g, k_max)):
+                rows.append(list(zip(tail_list, lvs, rhs(g, k_max))))
+            for mask, c in enumerate(class_of):
+                prefix = f"n={n:02d}/g={graph6_from_mask(n, mask)}/"
+                for tail, lv, rv in rows[c]:
                     yield prefix + tail, lv, rv
 
     return walk
@@ -296,10 +306,11 @@ class ClaimSpec:
     LEMMA2/3 fix k=2, so their k budget is moot.  LEMMA4 walks its scalar
     (k, s) half at every k <= k_max but its 0/1-vector half only at
     k <= min(4, k_max), _LEMMA4_VECTOR_K.  The seven claims that walk every
-    labeled graph, each a _graph_walker, have graph.MAX_ENUM_N, the one
-    bound of that walk, as their n guard, or their referees' own bound if
-    it is lower (the lemma 7 claims); other guards are the referees' own
-    MAX_* bounds.  END_TO_END's guard is also the search's.
+    labeled graph, each a _graph_walker that calls its sides once per
+    isomorphism class, have graph.MAX_ENUM_N, the one bound of that walk, as
+    their n guard, or their referees' own bound if it is lower (the lemma 7
+    claims); other guards are the referees' own MAX_* bounds.  END_TO_END's
+    guard is also the search's.
     """
 
     defaults: tuple[int, int]

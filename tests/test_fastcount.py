@@ -13,7 +13,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmatchlab.coeffs import compute_gprime
+from kmatchlab import fastcount
+from kmatchlab.coeffs import compute_f, compute_gprime
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import (
     MAX_FAST_K,
@@ -131,6 +132,28 @@ def test_partition_sum_refuses_past_the_enumeration_bound():
     with pytest.raises(CapacityError):
         partition_sum(g, ((1,),))
     assert "adj" not in vars(g)  # refused before the matrix is built
+
+
+@pytest.mark.parametrize("opts", ALL_OPTIONS, ids=lambda o: f"{o.gmode}-{o.index_convention}")
+def test_lemma7_eval_sums_each_ground_set_once_per_call(monkeypatch, opts):
+    # the paper convention's ground set is {1..k} for every l: its literal
+    # sum is enumerated once per call, one partition_sum per partition of
+    # {1..k}, not once per l; the corrected one sums {1..l} for each l
+    calls = []
+
+    def counted(g, pi):
+        calls.append(pi)
+        return partition_sum(g, pi)
+
+    monkeypatch.setattr(fastcount, "partition_sum", counted)
+    g, k = generate("complete", 4), 3
+    value = lemma7_eval(g, k, opts)
+    ms = [k] if opts.index_convention == "paper" else range(1, k + 1)
+    assert sorted(calls) == sorted(pi for m in ms for pi in compute_f(m))
+    gp = compute_gprime(k, opts.gmode)
+    s = {m: sum(fv * partition_sum(g, pi) for pi, fv in compute_f(m).items()) for m in range(1, k + 1)}
+    want = sum(factorial(4 - l) * gp[l] * s[k if opts.index_convention == "paper" else l] for l in range(1, k + 1))
+    assert value == Fraction(want, factorial(k) * factorial(4 - k) * 2**k)
 
 
 def _elementary_symmetric(d, m):

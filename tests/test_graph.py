@@ -2,6 +2,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 from kmatchlab.errors import CapacityError, Graph6ParseError
 from kmatchlab.fastcount import fast_count
+from kmatchlab import graph
 from kmatchlab.graph import (
+    MAX_ENUM_N,
     Graph,
     degree_vector,
     encode_graph6,
     enumerate_all_graphs,
     from_edge_list,
     generate,
+    graph6_from_mask,
+    graph_classes,
     graph_from_mask,
     parse_edge_list_text,
     parse_graph6,
@@ -264,6 +269,16 @@ def test_graph6_round_trip_exhaustive():
             assert parse_graph6(encode_graph6(g)).adj == g.adj
 
 
+def test_graph6_from_mask_spells_the_graph_of_the_mask():
+    for n in range(1, MAX_ENUM_N + 1):
+        for mask in range(0, 1 << n * (n - 1) // 2, 7 if n == MAX_ENUM_N else 1):
+            g = graph_from_mask(n, mask)
+            assert graph6_from_mask(n, mask) == encode_graph6(g) == str(g)
+            assert parse_graph6(graph6_from_mask(n, mask)) == g
+    with pytest.raises(ValueError):
+        graph6_from_mask(63, 0)
+
+
 @given(st.integers(min_value=2, max_value=7), st.data())
 def test_graph6_round_trip_random(n, data):
     mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
@@ -310,3 +325,63 @@ def test_graph_is_hashable_and_frozen():
     assert hash(g) == hash(generate("path", 3))
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+# -- isomorphism classes -------------------------------------------------------
+
+def _images(n, mask):
+    """The masks of every relabeling of graph_from_mask(n, mask), one per permutation."""
+    nbits = n * (n - 1) // 2
+    edges = [(i, j) for i, row in enumerate(graph_from_mask(n, mask).rows) for j in row]
+    images = []
+    for s in permutations(range(n)):
+        image = 0
+        for i, j in edges:
+            a, b = sorted((s[i], s[j]))
+            image |= 1 << nbits - 1 - b * (b - 1) // 2 - a  # pair (a, b) is graph6 bit b(b-1)/2 + a
+        images.append(image)
+    return images
+
+
+# unlabeled graphs on n vertices, n = 1..6 (OEIS A000088)
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+def test_graph_classes_count_the_isomorphism_classes(n, classes):
+    class_of, reps = graph_classes(n)
+    assert len(reps) == classes and len(class_of) == 2 ** (n * (n - 1) // 2)
+    sizes = Counter(class_of)
+    assert sorted(sizes) == list(range(classes))
+    # each class's representative is its smallest mask, and classes are
+    # numbered in ascending order of it
+    first = {}
+    for mask, c in enumerate(class_of):
+        first.setdefault(c, mask)
+    assert reps == tuple(first[c] for c in range(classes))
+    # each class is the orbit of its representative, so the orbit sizes,
+    # counted from the relabelings alone, sum to 2^C(n,2)
+    orbits = [set(_images(n, rep)) for rep in reps]
+    assert [len(o) for o in orbits] == [sizes[c] for c in range(classes)]
+    assert all(class_of[m] == c for c, orbit in enumerate(orbits) for m in orbit)
+    assert sum(map(len, orbits)) == 2 ** (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graph_classes_agree_with_brute_force_canonical_forms(n):
+    # two masks share a class exactly when their smallest images over all n!
+    # relabelings are equal
+    class_of, _ = graph_classes(n)
+    canon = [min(_images(n, mask)) for mask in range(len(class_of))]
+    pairs = set(zip(class_of, canon))
+    assert len(pairs) == len(set(class_of)) == len(set(canon))
+    assert all(class_of[canonical] == c for c, canonical in pairs)
+
+
+def test_graph_classes_guard(monkeypatch):
+    # n is checked on the call itself, before any orbit is marked
+    def no_work(n):
+        raise AssertionError("orbit table built past the guard")
+
+    monkeypatch.setattr(graph, "_orbit_table", no_work)
+    with pytest.raises(CapacityError):
+        graph_classes(MAX_ENUM_N + 1)
+    with pytest.raises(ValueError):
+        graph_classes(0)

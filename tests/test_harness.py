@@ -18,7 +18,8 @@ from kmatchlab import cli, harness
 from kmatchlab.coeffs import GMODES
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
-from kmatchlab.graph import encode_graph6, enumerate_all_graphs, from_edge_list, parse_graph6
+from kmatchlab.graph import (encode_graph6, enumerate_all_graphs, from_edge_list, graph_classes, graph_from_mask,
+                             parse_graph6)
 from kmatchlab.harness import (
     OPTIONS_MATRIX,
     Budget,
@@ -141,7 +142,8 @@ def test_every_claim_guard_fires_before_work(monkeypatch, claim, guard):
     def no_work(*args, **kwargs):
         raise AssertionError("a walker ran past the guard")
 
-    monkeypatch.setattr(harness, "enumerate_all_graphs", no_work)
+    # the graph walker's first call, before any side runs
+    monkeypatch.setattr(harness, "graph_classes", no_work)
     monkeypatch.setattr(harness, "product", no_work)
     monkeypatch.setattr(harness, "compute_gprime", no_work)
     monkeypatch.setattr(harness, "compute_f", no_work)
@@ -321,10 +323,15 @@ def test_search_guards():
         discrepancy_search(0, 1)
 
 
+def _class_reps(n_max):
+    """The smallest-mask graph of each isomorphism class with n <= n_max, in walk order."""
+    return [graph_from_mask(n, rep) for n in range(1, n_max + 1) for rep in graph_classes(n)[1]]
+
+
 def test_graph_walker_calls_each_plain_side_once_per_graph(monkeypatch):
-    # the oracle side reads no degrees: one matching_counts call per graph for
-    # all k, however many graphs share a degree histogram; fast_count once per
-    # (histogram, k, options)
+    # the oracle side reads no degrees: one matching_counts call per
+    # isomorphism class for all k, however many labeled graphs it has or
+    # share its degree histogram; fast_count once per (histogram, k, options)
     calls = {"oracle": 0, "fast": 0}
 
     def counted(name, f):
@@ -338,7 +345,7 @@ def test_graph_walker_calls_each_plain_side_once_per_graph(monkeypatch):
     recs = verify_claim(ClaimId.END_TO_END, Budget(n_max=4, k_max=2))
     graphs = sum(2 ** (n * (n - 1) // 2) for n in range(1, 5))
     assert len(recs) == graphs * 2 * len(OPTIONS_MATRIX)
-    assert calls["oracle"] == graphs
+    assert calls["oracle"] == len(_class_reps(4)) == 1 + 2 + 4 + 11
     histograms = {(parse_graph6(r.head.split("/")[1][2:]).degree_counts, r.head[-2:]) for r in recs}
     assert calls["fast"] == len(histograms) * len(OPTIONS_MATRIX)
 
@@ -347,14 +354,17 @@ def test_every_side_is_label_invariant():
     # each chain referee, and each THM4 side, sums over all tuples or
     # permutations of the vertices, so it must give the same values on every
     # relabeling of a graph: here on the images under i -> n-1-i and
-    # i -> i+1 mod n
+    # i -> i+1 mod n, and on the smallest-mask graph of its isomorphism class,
+    # whose values the graph walker gives every graph of the class
     sides = [harness._oracle, harness._lemma1, harness._thm1, harness._thm2, harness._lemma7, harness._fast,
              harness._products, harness._sums]
     for n in range(1, 5):
-        for g in enumerate_all_graphs(n):
+        class_of, reps = graph_classes(n)
+        for mask, g in enumerate(enumerate_all_graphs(n)):
             edges = [(i, j) for i, row in enumerate(g.rows) for j in row]
             images = [from_edge_list(n, [(f(i) + 1, f(j) + 1) for i, j in edges])
                       for f in (lambda i: n - 1 - i, lambda i: (i + 1) % n)]
+            images.append(graph_from_mask(n, reps[class_of[mask]]))
             for side in sides:
                 want = side(g, 2)
                 for h in images:
@@ -368,8 +378,9 @@ def test_every_side_is_label_invariant():
 ], ids=["LEMMA1_VS_ORACLE", "END_TO_END", "THM4_FACTORIZATION"])
 def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, claim, lhs, rhs, by_degrees, tails):
     # a side answers every k <= k_max (every THM4 partition of {1..m},
-    # m <= k_max) in one call: once per graph, or, if it sees only degrees,
-    # once per sorted degree sequence
+    # m <= k_max) in one call: once per isomorphism class, on its
+    # smallest-mask graph, or, if it sees only degrees, once per sorted
+    # degree sequence
     seen = {lhs: [], rhs: []}
 
     def counted(name):
@@ -378,17 +389,20 @@ def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, clai
             return getattr(harness, name)(g, k_max)
         return side
 
-    budget = Budget(n_max=3, k_max=3)
+    # n = 5 is the first n at which two classes share a sorted degree
+    # sequence (P5 and K3+K2 among them)
+    budget = Budget(n_max=5, k_max=3)
     want = verify_claim(claim, budget)
     walk = harness._graph_walker(counted(lhs), counted(rhs), by_degrees, getattr(harness, tails))
     monkeypatch.setitem(harness._SPECS, claim, replace(harness._SPECS[claim], walk=walk))
     assert verify_claim(claim, budget) == want
     graphs = [g for n in range(1, budget.n_max + 1) for g in enumerate_all_graphs(n)]
-    assert seen[rhs] == [(g, budget.k_max) for g in graphs]
+    assert seen[rhs] == [(g, budget.k_max) for g in _class_reps(budget.n_max)]
     if by_degrees:
         def degrees(g): return tuple(sorted(g.degrees))
         assert {k for _, k in seen[lhs]} == {budget.k_max}
         assert sorted(degrees(g) for g, _ in seen[lhs]) == sorted({degrees(g) for g in graphs})
+        assert len(seen[lhs]) < len(seen[rhs])
     else:
         assert seen[lhs] == seen[rhs]
 
@@ -423,8 +437,9 @@ def _referee_args(read, variant):
 @pytest.mark.parametrize("claim", list(_CHAIN_SIDES), ids=[c.value for c in _CHAIN_SIDES])
 def test_graph_walker_pairs_each_record_with_its_own_variant(monkeypatch, claim):
     # each record's lhs and rhs are the referees at that record's own gmode or
-    # options; matching_counts is called once per graph for all k, every other
-    # referee once per (graph, k) and value it reads, and fast_count, which
+    # options, evaluated here on the record's own labeled graph; the walker
+    # calls matching_counts once per isomorphism class for all k, every other
+    # referee once per (class, k) and value it reads, and fast_count, which
     # sees only degrees, once per (histogram, k, options)
     sides = _CHAIN_SIDES[claim]
     originals = {name: getattr(harness, name) for name, _ in sides}
@@ -460,7 +475,8 @@ def test_graph_walker_pairs_each_record_with_its_own_variant(monkeypatch, claim)
     assert all(seen == variants for seen in per_head.values())
     histograms = {(parse_graph6(h.split("/")[1][2:]).degree_counts, h[-2:]) for h in per_head}
     for name, read in sides:
-        per_value = {"fast_count": len(histograms), "matching_counts": graphs}.get(name, graphs * budget.k_max)
+        classes = len(_class_reps(budget.n_max))
+        per_value = {"fast_count": len(histograms), "matching_counts": classes}.get(name, classes * budget.k_max)
         assert calls[name] == per_value * len(_READ_VARIANTS[read]), name
 
 
