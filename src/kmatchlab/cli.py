@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import islice
 
 from .coeffs import GMODES, compute_f, compute_gprime
@@ -30,10 +31,10 @@ from .harness import (
     Budget,
     ClaimId,
     build_report,
-    discrepancy_search,
     resolve_budget,
     verify_claim,
     write_report,
+    write_search,
 )
 from .oracle import (
     count_k_directed_matchings,
@@ -98,18 +99,25 @@ class _Stdout:
         _write_stdout(text)
 
 
-def _emit_report(report, format: str, path: str | None) -> None:
-    """Write the report to path, or to stdout when no path is given."""
+@contextmanager
+def _open_out(path: str | None):
+    """The report's text stream: the file at path, or stdout when no path is given."""
     if not path:
-        write_report(report, format, _Stdout())
+        yield _Stdout()
         return
-    if format not in REPORT_FORMATS:  # before the file is made
-        raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
     try:
         with open(path, "w", encoding="ascii") as fh:
-            write_report(report, format, fh)
+            yield fh
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
+
+
+def _emit_report(report, format: str, path: str | None) -> None:
+    """Write the report to path, or to stdout when no path is given."""
+    if format not in REPORT_FORMATS:  # before the file is made
+        raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
+    with _open_out(path) as out:
+        write_report(report, format, out)
 
 
 def _emit_json(obj) -> None:
@@ -187,7 +195,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    _emit_report(discrepancy_search(args.nmax, args.kmax), "json", args.out)
+    write_search(args.nmax, args.kmax, lambda: _open_out(args.out))
     return 0
 
 

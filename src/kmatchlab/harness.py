@@ -25,7 +25,7 @@ walk: one per chain referee (_oracle, _lemma1, _thm1, _thm2, _lemma7, _fast)
 with tails k=KK, and THM4's _products and _sums with tails m=MM/pi={...}.
 Every labeled graph of a class gets its class's values.  discrepancy_search
 is verify_claim(END_TO_END) behind the same guard, so verification and
-search produce records through one code path.
+search produce records through one code path, _records.
 
 Records are structured: claim, instance head, variant ("", gmode=X or
 gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
@@ -37,7 +37,11 @@ key) order, zero-padded numeric fields, each value written by its str
 ("p/q", or "p" when integral), byte-identical JSON from run to run.  Every
 walker emits that order; build_report, whose input is public, refuses
 records out of it while it tallies them and sorts nothing.  Writers put a
-report on a text stream one chunk of records at a time.
+report on a text stream one chunk of records at a time.  write_search, the
+search of `kmatch search`, holds no report: it tallies and spells each
+chunk of _records as it comes, through build_report's _Tally and
+_write_json's _json_rows, spills the rows to a temporary file, and writes
+the head, the spill and the tail once the walk is done.
 """
 
 from __future__ import annotations
@@ -45,11 +49,12 @@ from __future__ import annotations
 import io
 import json
 import random
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -351,23 +356,26 @@ def resolve_budget(claim: ClaimId, budget: Budget | None = None) -> Budget:
     return replace(budget, n_max=n_max, k_max=k_max)
 
 
-def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
-    """Evaluate both sides of one claim on every instance in the budget, under
-    every convention variant it reads, in the canonical order the walker emits.
+def _records(claim: ClaimId, budget: Budget) -> Iterator[VerificationRecord]:
+    """The records of claim at a resolved budget, in the canonical order the
+    walker emits: the one place where compared values become records.
 
-    This is the one place where compared values become records.  A head gets
-    one record per value of its longer side, paired as _pairing says: a
-    gmode's value goes with every options entry of its gmode, as
+    A head gets one record per value of its longer side, paired as _pairing
+    says: a gmode's value goes with every options entry of its gmode, as
     OPTIONS_MATRIX is gmode-major, and a lone value with every variant.  Each
     record is made by tuple.__new__ in place, with no Python frame per record.
     """
-    recs: list[VerificationRecord] = []
-    append, new = recs.append, tuple.__new__
-    for head, lv, rv in _SPECS[claim].walk(resolve_budget(claim, budget)):
+    new = tuple.__new__
+    for head, lv, rv in _SPECS[claim].walk(budget):
         for variant, i, j in _pairing(len(lv), len(rv)):
             l, r = lv[i], rv[j]
-            append(new(VerificationRecord, (claim, head, l, r, "match" if l == r else "mismatch", variant)))
-    return recs
+            yield new(VerificationRecord, (claim, head, l, r, "match" if l == r else "mismatch", variant))
+
+
+def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
+    """Evaluate both sides of one claim on every instance in the budget, under
+    every convention variant it reads, in the canonical order the walker emits."""
+    return list(_records(claim, resolve_budget(claim, budget)))
 
 
 # -- discrepancy search ------------------------------------------------------
@@ -377,13 +385,87 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
 
     The records of verify_claim(END_TO_END) at Budget(n_max, k_max), under
     that claim's guard, in one canonical report: one record per (graph, k,
-    options) triple, every one held in memory; the report's text never is
-    whole.
+    options) triple.  This is the in-memory form, which holds every record;
+    `kmatch search` streams the same report through write_search instead.
     """
     return build_report(verify_claim(ClaimId.END_TO_END, Budget(n_max, k_max)), OPTIONS_MATRIX)
 
 
+def write_search(n_max: int, k_max: int, open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
+    """Write the JSON bytes of discrepancy_search(n_max, k_max) to the text
+    stream that open_out() opens, holding one chunk of records at a time.
+
+    The guard refuses before any work.  Each chunk of _CHUNK records is
+    tallied and its rows spilled to an unnamed temporary file; the head of
+    the report needs every tally, so open_out is called only after the walk,
+    and a walk that fails opens nothing.
+    """
+    claim = ClaimId.END_TO_END
+    records = _records(claim, resolve_budget(claim, Budget(n_max, k_max)))
+    import tempfile
+
+    tally = _Tally()
+    with tempfile.TemporaryFile("w+", encoding="ascii") as spill:
+        sep = ""
+        while chunk := list(islice(records, _CHUNK)):
+            tally.add(chunk)
+            spill.write(sep + _json_rows(chunk))
+            sep = ","
+        # the tallies of the report; its records are in the spill
+        report = VerificationReport(__version__, OPTIONS_MATRIX, [], tally.summary, tally.options_summary,
+                                    tally.first_counterexample)
+        with open_out() as out:
+            _write_json(report, out, spill)
+
+
 # -- report assembly and serialization ---------------------------------------
+
+class _Tally:
+    """build_report's tallies, taken a chunk of records at a time: add() goes
+    on where the last chunk stopped, so chunk boundaries change nothing."""
+
+    def __init__(self) -> None:
+        self.summary: dict = {}
+        self.options_summary: dict = {}
+        self.first_counterexample: dict = {}
+        # the claim of the last record, its name, its tally, and the last
+        # (head, variant)
+        self._last: tuple = (None, "", None, "", "")
+
+    def add(self, records: Iterable[VerificationRecord]) -> None:
+        """Tally records, which continue the records already added.
+
+        The first record out of canonical order raises ValueError: claim
+        values rise strictly run by run, and (head, variant), ordered as the
+        instance is since no head is a proper prefix of another, never falls
+        in a run."""
+        summary, options_summary, first_cx = self.summary, self.options_summary, self.first_counterexample
+        claim, name, tally, last_head, last_variant = self._last
+        for c, head, _, _, verdict, variant in records:
+            if c is not claim:
+                if c.value <= name:
+                    break
+                claim, name = c, c.value
+                tally = summary[name] = {"match": 0, "mismatch": 0}
+            elif head <= last_head and (head < last_head or variant < last_variant):
+                break
+            last_head, last_variant = head, variant
+            tally[verdict] += 1
+            if verdict == "mismatch" and name not in first_cx:
+                first_cx[name] = f"{head}/{variant}" if variant else head
+            if variant:
+                ot = options_summary.get(variant) or options_summary.setdefault(
+                    variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+                ot[verdict] += 1
+                if verdict == "mismatch" and ot["first_counterexample"] is None:
+                    ot["first_counterexample"] = f"{head}/{variant}"
+        else:
+            self._last = (claim, name, tally, last_head, last_variant)
+            return
+        # the loop broke at the first record out of order
+        inst = f"{head}/{variant}" if variant else head
+        raise ValueError(f"records out of canonical order at {c.value} {inst}")
+
 
 def build_report(
     records: list[VerificationRecord],
@@ -391,35 +473,13 @@ def build_report(
 ) -> VerificationReport:
     """Tally a list of records per claim and per variant; the report keeps the list.
 
-    The first record out of canonical order raises ValueError: claim values
-    rise strictly run by run, and (head, variant), ordered as the instance
-    is since no head is a proper prefix of another, never falls in a run."""
+    Records out of canonical order raise ValueError, as _Tally.add says."""
     if not isinstance(records, list):
         raise TypeError(f"build_report takes a list of records, got {type(records).__name__}")
-    summary, options_summary, first_cx, claim, name = {}, {}, {}, None, ""
-    for c, head, _, _, verdict, variant in records:
-        if c is not claim:
-            if c.value <= name:
-                break
-            claim, name = c, c.value
-            tally = summary[name] = {"match": 0, "mismatch": 0}
-        elif head <= last_head and (head < last_head or variant < last_variant):
-            break
-        last_head, last_variant = head, variant
-        tally[verdict] += 1
-        if verdict == "mismatch" and name not in first_cx:
-            first_cx[name] = f"{head}/{variant}" if variant else head
-        if variant:
-            ot = options_summary.get(variant) or options_summary.setdefault(
-                variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
-            ot[verdict] += 1
-            if verdict == "mismatch" and ot["first_counterexample"] is None:
-                ot["first_counterexample"] = f"{head}/{variant}"
-    else:
-        return VerificationReport(__version__, tuple(options_matrix), records, summary, options_summary, first_cx)
-    # the loop broke at the first record out of order
-    inst = f"{head}/{variant}" if variant else head
-    raise ValueError(f"records out of canonical order at {c.value} {inst}")
+    tally = _Tally()
+    tally.add(records)
+    return VerificationReport(__version__, tuple(options_matrix), records, tally.summary, tally.options_summary,
+                              tally.first_counterexample)
 
 
 def report_from_json(text: str) -> VerificationReport:
@@ -435,29 +495,44 @@ def report_from_json(text: str) -> VerificationReport:
 
 
 # A writer puts a report on a text stream, its records _CHUNK at a time, so
-# that no sink holds more than one chunk of the report's text.
-_CHUNK = 2048
+# that no sink holds more than one chunk of the report's text, and
+# write_search holds one chunk of records: `kmatch search --nmax 5 --kmax 3`
+# peaked at 16.9 MB of RSS with 128, 17.0 MB with 256 and 18.1 MB with 2048
+# (Python 3.11), at the same speed
+_CHUNK = 128
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_json(report: VerificationReport, out: TextIO) -> None:
-    # the bytes of _dumps(the report as one dict) + "\n": keys in sorted order
+def _json_rows(records: Sequence[VerificationRecord]) -> str:
+    """The records' JSON objects, comma-separated."""
+    rows, claim = [], None
+    for c, head, lhs, rhs, verdict, variant in records:
+        if c is not claim:  # one .value per run of a claim, not per record
+            claim, name = c, _quote(c.value)
+        inst = f"{head}/{variant}" if variant else head
+        rows.append(f'{{"claim":{name},"instance":{_quote(inst)},"lhs":"{lhs}",'
+                    f'"rhs":"{rhs}","verdict":{_quote(verdict)}}}')
+    return ",".join(rows)
+
+
+def _write_json(report: VerificationReport, out: TextIO, spill: TextIO | None = None) -> None:
+    # the bytes of _dumps(the report as one dict) + "\n": keys in sorted order;
+    # the records' rows are spelled from report.records, or, if spill is
+    # given, copied from that text file, which holds them already spelled
     matrix = [{"gmode": o.gmode, "index_convention": o.index_convention} for o in report.options_matrix]
     out.write(f'{{"first_counterexample":{_dumps(report.first_counterexample)},"options_matrix":'
               f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
-    claim, recs = None, report.records
-    for i in range(0, len(recs), _CHUNK):
-        rows = []
-        for c, head, lhs, rhs, verdict, variant in recs[i:i + _CHUNK]:
-            if c is not claim:  # one .value per run of a claim, not per record
-                claim, name = c, _quote(c.value)
-            inst = f"{head}/{variant}" if variant else head
-            rows.append(f'{{"claim":{name},"instance":{_quote(inst)},"lhs":"{lhs}",'
-                        f'"rhs":"{rhs}","verdict":{_quote(verdict)}}}')
-        out.write("," * (i > 0) + ",".join(rows))
+    if spill is None:
+        recs = report.records
+        for i in range(0, len(recs), _CHUNK):
+            out.write("," * (i > 0) + _json_rows(recs[i:i + _CHUNK]))
+    else:
+        spill.seek(0)
+        while text := spill.read(1 << 16):
+            out.write(text)
     out.write(f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n')
 
 

@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from kmatchlab import harness
 from kmatchlab.cli import main
 from kmatchlab.coeffs import MAX_GPRIME_K
 from kmatchlab.harness import report_from_json
+from kmatchlab.oracle import matching_counts
 from kmatchlab.partitions import MAX_ENUM_M
 
 
@@ -175,6 +177,32 @@ def test_search_stdout_bytes_equal_file_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("n_max, k_max", [(7, 1), (1, 9)])
+def test_refused_search_makes_no_file(tmp_path, capsys, n_max, k_max):
+    # the guard refuses before the walk, so before the output is opened
+    out = tmp_path / "search.json"
+    assert main(["search", "--nmax", str(n_max), "--kmax", str(k_max), "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_failed_search_walk_makes_no_file(tmp_path, capsys, monkeypatch):
+    # the output is opened only once the walk is done; a walk that fails
+    # after several chunks have been spilled leaves no file behind
+    def refuse_n5(g, k_max):
+        if g.n == 5:
+            raise ValueError("refused at n = 5")
+        return matching_counts(g, k_max)
+
+    monkeypatch.setattr(harness, "matching_counts", refuse_n5)
+    out = tmp_path / "search.json"
+    assert main(["search", "--nmax", "5", "--kmax", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: refused at n = 5\n"
+
+
 def test_graph_file_edge_list(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("3 2\n1 2\n2 3\n")
@@ -287,8 +315,9 @@ def test_broken_pipe_exits_1():
     assert proc.stdout.strip() == "1"
     assert "Traceback" not in proc.stderr
 
-    # The search report (about 1.6 MB) goes to stdout a chunk of records at a
-    # time; a write after `head` has gone must reach the same handler.
+    # The search report (about 1.6 MB) is spilled to a temporary file while
+    # the search walks, then copied to stdout a block at a time; a write
+    # after `head` has gone must reach the same handler.
     search = (
         f"{shlex.quote(sys.executable)} -m kmatchlab.cli search --nmax 5 --kmax 3"
         " | head -c 10 >/dev/null; "

@@ -8,8 +8,11 @@ records they summarize.
 import hashlib
 import io
 import re
+import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -187,18 +190,81 @@ def test_search_completeness_and_determinism():
     assert report_to_json(rep) == report_to_json(again)
 
 
-@pytest.mark.parametrize(
-    "n_max, k_max, digest",
-    [
-        (4, 2, "57ccbcd0f8451de91bdcd64e461f53856ac6476a909a96f67d86b628fcb84177"),
-        (5, 3, "c3ca25f7cd19b1fe643586ba458a7229638f2eb1804ff83c273f3da5bd9b48da"),
-    ],
-)
+SEARCH_DIGESTS = [
+    (4, 2, "57ccbcd0f8451de91bdcd64e461f53856ac6476a909a96f67d86b628fcb84177"),
+    (5, 3, "c3ca25f7cd19b1fe643586ba458a7229638f2eb1804ff83c273f3da5bd9b48da"),
+]
+
+
+@pytest.mark.parametrize("n_max, k_max, digest", SEARCH_DIGESTS)
 def test_search_report_golden_digest(n_max, k_max, digest):
     # refactors of the formula or the search must leave the report bytes as
     # they are
     text = report_to_json(discrepancy_search(n_max, k_max))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sink", ["file", "stdout"])
+@pytest.mark.parametrize("n_max, k_max, digest", SEARCH_DIGESTS)
+def test_cli_search_golden_digest(tmp_path, capsys, n_max, k_max, digest, sink):
+    # `kmatch search` streams its report through write_search, never through
+    # discrepancy_search: the same bytes, to a file and to stdout
+    argv = ["search", "--nmax", str(n_max), "--kmax", str(k_max)]
+    path = tmp_path / "search.json"
+    assert cli.main(argv + ["--out", str(path)] * (sink == "file")) == 0
+    data = path.read_bytes() if sink == "file" else capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+class _HashSink:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("ascii"))
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_search_holds_one_chunk_of_records():
+    # the 13,188 records of (5, 3) take about 1.7 MB held in a list; the
+    # stream holds one chunk of them and peaked at 0.28-0.34 MB (Python 3.11)
+    sink = _HashSink()
+    harness.write_search(5, 3, lambda: nullcontext(sink))  # fills the caches
+    assert sink.sha.hexdigest() == SEARCH_DIGESTS[1][2]
+    bound = 1_000_000
+    assert _traced_peak(lambda: harness.write_search(5, 3, lambda: nullcontext(_HashSink()))) < bound
+    assert _traced_peak(lambda: harness._write_json(discrepancy_search(5, 3), _HashSink())) > bound
+
+
+def _chunked_tally(records, size):
+    tally, it = harness._Tally(), iter(records)
+    while chunk := list(islice(it, size)):
+        tally.add(chunk)
+    return tally
+
+
+def test_tallies_resume_across_chunks(monkeypatch):
+    # 7 records a chunk: chunk boundaries fall inside the 4 variants of a head
+    monkeypatch.setattr(harness, "_CHUNK", 7)
+    recs = verify_claim(ClaimId.END_TO_END, Budget(4, 2))
+    assert len(recs) % 7 and len({r.head for r in recs[:7]}) == 2
+    rep = build_report(recs, OPTIONS_MATRIX)
+    tally = _chunked_tally(recs, 7)
+    assert (tally.summary, tally.options_summary, tally.first_counterexample) == (
+        rep.summary, rep.options_summary, rep.first_counterexample)
+    sink = _HashSink()
+    harness.write_search(4, 2, lambda: nullcontext(sink))
+    assert sink.sha.hexdigest() == SEARCH_DIGESTS[0][2]
 
 
 @pytest.fixture(scope="module")
@@ -524,7 +590,7 @@ def _swap(recs, i, j):
     return recs
 
 
-@pytest.mark.parametrize("disorder, first_out", [
+DISORDER_CASES = pytest.mark.parametrize("disorder, first_out", [
     # the claim runs in the wrong order
     (lambda recs: recs[-2:] + recs[:-2], "LEMMA4 k=02/s=00/gmode=corrected"),
     # a claim run again after another claim's run
@@ -534,10 +600,29 @@ def _swap(recs, i, j):
     # two variants of one head swapped
     (lambda recs: _swap(recs, 0, 1), "LEMMA4 k=02/s=00/gmode=corrected"),
 ], ids=["claim", "claim-repeated", "head", "variant"])
+
+
+@DISORDER_CASES
 def test_build_report_refuses_records_out_of_order(disorder, first_out):
     recs = disorder(_order_case_records())
     with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
         build_report(recs, OPTIONS_MATRIX)
+
+
+@DISORDER_CASES
+def test_streamed_tallies_refuse_the_same_record(monkeypatch, disorder, first_out):
+    # chunk by chunk, the stream refuses the record build_report refuses,
+    # and opens no output
+    recs = disorder(_order_case_records())
+    for size in (1, 3, 7):
+        with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
+            _chunked_tally(recs, size)
+    monkeypatch.setattr(harness, "_CHUNK", 3)
+    monkeypatch.setattr(harness, "_records", lambda claim, budget: iter(recs))
+    opened = []
+    with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
+        harness.write_search(1, 1, lambda: opened.append(1))
+    assert opened == []
 
 
 def test_build_report_keeps_the_callers_list_and_equal_keys():
