@@ -8,7 +8,7 @@ small instances, recording exact match/mismatch verdicts.
 
 from ._version import __version__
 from .errors import CapacityError, Graph6ParseError
-from .graph import Graph, degree_vector, enumerate_all_graphs, from_edge_list, generate, parse_graph6
+from .graph import Graph, degree_vector, from_edge_list, generate, parse_graph6
 from .fastcount import CountResult, FastCountOptions, fast_count
 from .harness import ClaimId, VerificationRecord, VerificationReport, discrepancy_search, verify_claim
 
@@ -17,7 +17,6 @@ __all__ = [
     "Graph6ParseError",
     "Graph",
     "degree_vector",
-    "enumerate_all_graphs",
     "from_edge_list",
     "generate",
     "parse_graph6",

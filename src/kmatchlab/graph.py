@@ -29,7 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations
-from typing import Iterator
 import random
 
 from .errors import CapacityError, Graph6ParseError
@@ -123,17 +122,12 @@ def degree_vector(g: Graph) -> tuple[int, ...]:
     return g.degrees
 
 
-def enumerate_all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n <= MAX_ENUM_N vertices once, n checked on call.
-
-    Graphs come out in ascending mask order, which is ascending graph6
-    order: the graph at position i is graph_from_mask(n, i).
-    """
+def _check_n(n: int) -> None:
+    """Refuse n outside 1..MAX_ENUM_N, the bound of every walk over all graphs on n vertices."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     if n > MAX_ENUM_N:
         raise CapacityError(f"refusing to enumerate 2^{n * (n - 1) // 2} graphs (n={n} > {MAX_ENUM_N})")
-    return (graph_from_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
 
 
 def graph_classes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -143,7 +137,7 @@ def graph_classes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Class ids count up from 0 in ascending order of the classes' smallest
     masks, each class's representative.  Built once per n.
     """
-    enumerate_all_graphs(n)  # its n bound, checked before any work; makes no graph
+    _check_n(n)
     return _orbit_table(n)
 
 

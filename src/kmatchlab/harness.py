@@ -18,14 +18,14 @@ test, rhs = the reference it is supposed to equal):
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
 its walker, which yields (head, lhs values, rhs values) per instance head;
-verify_claim alone turns those into records.  The seven graph claims share
+_records alone turns those into records.  The seven graph claims share
 one walker and are each a pair of named sides, each called once per
-isomorphism class of graphs for every head tail of k_max, spelled once per
-walk: one per chain referee (_oracle, _lemma1, _thm1, _thm2, _lemma7, _fast)
-with tails k=KK, and THM4's _products and _sums with tails m=MM/pi={...}.
-Every labeled graph of a class gets its class's values.  discrepancy_search
-is verify_claim(END_TO_END) behind the same guard, so verification and
-search produce records through one code path, _records.
+isomorphism class of graphs for every head tail of k_max, spelled once
+per walk: one per chain referee (_oracle, _lemma1, _thm1, _thm2, _lemma7,
+_fast) with tails k=KK, and THM4's _products and _sums with tails
+m=MM/pi={...}.  Every labeled graph of a class gets its class's values.
+The sides' values go in one memo per run, which every claim of the run
+shares, so a side that two claims read runs once per class and k_max.
 
 Records are structured: claim, instance head, variant ("", gmode=X or
 gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
@@ -36,12 +36,15 @@ rounded or tolerated.  Reports are canonical: records in (claim, instance
 key) order, zero-padded numeric fields, each value written by its str
 ("p/q", or "p" when integral), byte-identical JSON from run to run.  Every
 walker emits that order; build_report, whose input is public, refuses
-records out of it while it tallies them and sorts nothing.  Writers put a
-report on a text stream one chunk of records at a time.  write_search, the
-search of `kmatch search`, holds no report: it tallies and spells each
-chunk of _records as it comes, through build_report's _Tally and
-_write_json's _json_rows, spills the rows to a temporary file, and writes
-the head, the spill and the tail once the walk is done.
+records out of it while it tallies them and sorts nothing.
+
+One writer, write_claims, writes the report of `kmatch verify` and of
+`kmatch search`, which is END_TO_END under its guard.  It holds no report:
+it tallies each chunk of the claims' records with build_report's _Tally,
+spells their rows in the chosen format and spills them to a temporary
+file, and only once the walk is done opens the output and writes the
+head, the spill and the tail.  discrepancy_search, build_report and
+report_to_json are the in-memory forms, which hold every record.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -138,10 +141,11 @@ def _mat(X: Sequence[Sequence[int]]) -> str:
 # -- per-claim instance walkers ----------------------------------------------
 #
 # A walker takes a budget, with its n_max and k_max already resolved, and
-# yields (head, lhs values, rhs values) per instance head, in canonical head
+# the run's side memo, which only the graph walker reads, and yields
+# (head, lhs values, rhs values) per instance head, in canonical head
 # order, each side's values in the report order of the variants it reads:
 # one value, one per gmode of GMODES or one per entry of OPTIONS_MATRIX.
-# verify_claim alone turns these into records, so no walker knows its
+# _records alone turns these into records, so no walker knows its
 # claim, a variant's spelling or a verdict, and none sorts.
 # Referees are looked up as module globals at call time, never held in a
 # spec, so that rebinding one here (a tracer's wrapper, a test's
@@ -156,7 +160,7 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
     """LEMMA2/3: injection_sum((x, x)) vs the double sum minus diagonal(x), on
     every 0/1 vector x, plus seeded integer vectors if random_trials."""
 
-    def walk(budget):
+    def walk(budget, _memo):
         for n in range(1, budget.n_max + 1):
             xs = []  # the seed= heads sort before the x= heads
             for t in range(TRIALS if random_trials else 0):
@@ -181,7 +185,7 @@ def _gprime_sums(k: int, s: int) -> list[int]:
 _LEMMA4_VECTOR_K = 4
 
 
-def _records_lemma4(budget):
+def _records_lemma4(budget, _memo):
     # the scalar half, every k <= k_max: the g'-power expansion at each gmode
     # vs the falling factorial
     for k in range(2, budget.k_max + 1):
@@ -207,7 +211,7 @@ def _lemma6_expansion(X, ftab) -> int:
     return total
 
 
-def _records_lemma6(budget):
+def _records_lemma6(budget, _memo):
     seed = budget.seed
     for m in range(2, budget.k_max + 1):
         ftab = compute_f(m)
@@ -262,38 +266,43 @@ def _pairing(a: int, b: int) -> tuple[tuple[str, int, int], ...]:
     return tuple((v, i * a // rows, i * b // rows) for i, v in enumerate(_VARIANTS[rows]))
 
 
+def _side_values(memo: dict, side, g_key, g, k_max: int):
+    """side(g, k_max), called once per (side, g_key, k_max) in the run's memo."""
+    key = (side, g_key, k_max)
+    vs = memo.get(key)
+    if vs is None:
+        vs = memo[key] = side(g, k_max)
+    return vs
+
+
 def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
     """Compare side lhs with side rhs on every labeled graph with n <= n_max,
     yielding a head per tail of tails(k_max) and both sides' values for it.
 
     Every side sums over all vertex tuples or permutations, so its values
-    depend only on the graph's isomorphism class: each side is called once
-    per class of graph.graph_classes, on the class's smallest-mask graph,
-    and answers every tail, but lhs, if by_degrees, sees the graph only
-    through its degree multiset and is called once per sorted degree
-    sequence over the whole walk.  Every labeled graph then gets its class's
-    values, in ascending mask order, which is graph6 order, its graph6
-    spelled from its mask, then tails in their canonical order, so heads
-    come in canonical order.
+    depend only on the graph's isomorphism class: each side answers every
+    tail for a class of graph.graph_classes from one call on the class's
+    smallest-mask graph, and is called once per (class, k_max) in the run's
+    memo, keyed on (side, (n, representative mask), k_max), so that claims
+    which share a side share its values.  lhs, if by_degrees, sees the graph
+    only through its degree multiset and is keyed on its sorted degree
+    sequence instead.  Every labeled graph then gets its class's values, in
+    ascending mask order, which is graph6 order, its graph6 spelled from its
+    mask, then tails in their canonical order, so heads come in canonical
+    order.
     """
 
-    def walk(budget):
+    def walk(budget, memo):
         k_max = budget.k_max
         tail_list = tails(k_max)
-        memo: dict = {}
         for n in range(1, budget.n_max + 1):
             class_of, reps = graph_classes(n)
             rows = []  # per class, (tail, lhs values, rhs values) per tail
             for rep in reps:
                 g = graph_from_mask(n, rep)
-                if by_degrees:
-                    key = tuple(sorted(g.degrees))
-                    lvs = memo.get(key)
-                    if lvs is None:
-                        lvs = memo[key] = lhs(g, k_max)
-                else:
-                    lvs = lhs(g, k_max)
-                rows.append(list(zip(tail_list, lvs, rhs(g, k_max))))
+                lkey = tuple(sorted(g.degrees)) if by_degrees else (n, rep)
+                rows.append(list(zip(tail_list, _side_values(memo, lhs, lkey, g, k_max),
+                                     _side_values(memo, rhs, (n, rep), g, k_max))))
             for mask, c in enumerate(class_of):
                 prefix = f"n={n:02d}/g={graph6_from_mask(n, mask)}/"
                 for tail, lv, rv in rows[c]:
@@ -320,7 +329,7 @@ class ClaimSpec:
 
     defaults: tuple[int, int]
     guard: tuple[int, int]
-    walk: Callable[[Budget], Iterator[tuple[str, Sequence, Sequence]]]
+    walk: Callable[[Budget, dict], Iterator[tuple[str, Sequence, Sequence]]]
 
 
 _SPECS: dict[ClaimId, ClaimSpec] = {
@@ -356,9 +365,10 @@ def resolve_budget(claim: ClaimId, budget: Budget | None = None) -> Budget:
     return replace(budget, n_max=n_max, k_max=k_max)
 
 
-def _records(claim: ClaimId, budget: Budget) -> Iterator[VerificationRecord]:
+def _records(claim: ClaimId, budget: Budget, memo: dict) -> Iterator[VerificationRecord]:
     """The records of claim at a resolved budget, in the canonical order the
-    walker emits: the one place where compared values become records.
+    walker emits: the one place where compared values become records.  memo
+    is the run's side memo, which the graph walker fills (_graph_walker).
 
     A head gets one record per value of its longer side, paired as _pairing
     says: a gmode's value goes with every options entry of its gmode, as
@@ -366,7 +376,7 @@ def _records(claim: ClaimId, budget: Budget) -> Iterator[VerificationRecord]:
     record is made by tuple.__new__ in place, with no Python frame per record.
     """
     new = tuple.__new__
-    for head, lv, rv in _SPECS[claim].walk(budget):
+    for head, lv, rv in _SPECS[claim].walk(budget, memo):
         for variant, i, j in _pairing(len(lv), len(rv)):
             l, r = lv[i], rv[j]
             yield new(VerificationRecord, (claim, head, l, r, "match" if l == r else "mismatch", variant))
@@ -374,11 +384,10 @@ def _records(claim: ClaimId, budget: Budget) -> Iterator[VerificationRecord]:
 
 def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
     """Evaluate both sides of one claim on every instance in the budget, under
-    every convention variant it reads, in the canonical order the walker emits."""
-    return list(_records(claim, resolve_budget(claim, budget)))
+    every convention variant it reads, in the canonical order the walker
+    emits; the side memo lives for this call."""
+    return list(_records(claim, resolve_budget(claim, budget), {}))
 
-
-# -- discrepancy search ------------------------------------------------------
 
 def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
     """fast_count vs oracle on every labeled graph up to n_max, every k, every combo.
@@ -386,36 +395,9 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
     The records of verify_claim(END_TO_END) at Budget(n_max, k_max), under
     that claim's guard, in one canonical report: one record per (graph, k,
     options) triple.  This is the in-memory form, which holds every record;
-    `kmatch search` streams the same report through write_search instead.
+    `kmatch search` writes the same bytes through write_claims instead.
     """
     return build_report(verify_claim(ClaimId.END_TO_END, Budget(n_max, k_max)), OPTIONS_MATRIX)
-
-
-def write_search(n_max: int, k_max: int, open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
-    """Write the JSON bytes of discrepancy_search(n_max, k_max) to the text
-    stream that open_out() opens, holding one chunk of records at a time.
-
-    The guard refuses before any work.  Each chunk of _CHUNK records is
-    tallied and its rows spilled to an unnamed temporary file; the head of
-    the report needs every tally, so open_out is called only after the walk,
-    and a walk that fails opens nothing.
-    """
-    claim = ClaimId.END_TO_END
-    records = _records(claim, resolve_budget(claim, Budget(n_max, k_max)))
-    import tempfile
-
-    tally = _Tally()
-    with tempfile.TemporaryFile("w+", encoding="ascii") as spill:
-        sep = ""
-        while chunk := list(islice(records, _CHUNK)):
-            tally.add(chunk)
-            spill.write(sep + _json_rows(chunk))
-            sep = ","
-        # the tallies of the report; its records are in the spill
-        report = VerificationReport(__version__, OPTIONS_MATRIX, [], tally.summary, tally.options_summary,
-                                    tally.first_counterexample)
-        with open_out() as out:
-            _write_json(report, out, spill)
 
 
 # -- report assembly and serialization ---------------------------------------
@@ -494,16 +476,27 @@ def report_from_json(text: str) -> VerificationReport:
                               obj["first_counterexample"])
 
 
-# A writer puts a report on a text stream, its records _CHUNK at a time, so
-# that no sink holds more than one chunk of the report's text, and
-# write_search holds one chunk of records: `kmatch search --nmax 5 --kmax 3`
-# peaked at 16.9 MB of RSS with 128, 17.0 MB with 256 and 18.1 MB with 2048
-# (Python 3.11), at the same speed
+# -- the report writer ---------------------------------------------------------
+#
+# A report is a head, its records' rows and a tail.  The head and the tail
+# read only the report's tallies, so the writer tallies and spells each chunk
+# of _CHUNK records as the walk makes them and spills the rows to a temporary
+# file, holding one chunk of records at a time: `kmatch search --nmax 5
+# --kmax 3` peaked at 16.9 MB of RSS with 128, 17.0 MB with 256 and 18.1 MB
+# with 2048 (Python 3.11), at the same speed
 _CHUNK = 128
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# JSON is the bytes of _dumps(the report as one dict) + "\n", keys in sorted
+# order, with the records between the head and the tail
+def _json_head(report: VerificationReport) -> str:
+    matrix = [{"gmode": o.gmode, "index_convention": o.index_convention} for o in report.options_matrix]
+    return (f'{{"first_counterexample":{_dumps(report.first_counterexample)},"options_matrix":'
+            f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
 
 
 def _json_rows(records: Sequence[VerificationRecord]) -> str:
@@ -518,37 +511,20 @@ def _json_rows(records: Sequence[VerificationRecord]) -> str:
     return ",".join(rows)
 
 
-def _write_json(report: VerificationReport, out: TextIO, spill: TextIO | None = None) -> None:
-    # the bytes of _dumps(the report as one dict) + "\n": keys in sorted order;
-    # the records' rows are spelled from report.records, or, if spill is
-    # given, copied from that text file, which holds them already spelled
-    matrix = [{"gmode": o.gmode, "index_convention": o.index_convention} for o in report.options_matrix]
-    out.write(f'{{"first_counterexample":{_dumps(report.first_counterexample)},"options_matrix":'
-              f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
-    if spill is None:
-        recs = report.records
-        for i in range(0, len(recs), _CHUNK):
-            out.write("," * (i > 0) + _json_rows(recs[i:i + _CHUNK]))
-    else:
-        spill.seek(0)
-        while text := spill.read(1 << 16):
-            out.write(text)
-    out.write(f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n')
+def _json_tail(report: VerificationReport) -> str:
+    return f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n'
 
 
-def _write_csv(report: VerificationReport, out: TextIO) -> None:
+def _csv_rows(records: Sequence[VerificationRecord]) -> str:
     import csv
 
-    out.write("claim,instance,lhs,rhs,verdict\n")
-    recs = report.records
-    for i in range(0, len(recs), _CHUNK):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(
-            (r.claim.value, r.instance, r.lhs, r.rhs, r.verdict) for r in recs[i:i + _CHUNK])
-        out.write(buf.getvalue())
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows((r.claim.value, r.instance, r.lhs, r.rhs, r.verdict)
+                                                   for r in records)
+    return buf.getvalue()
 
 
-def _write_text(report: VerificationReport, out: TextIO) -> None:
+def _text_head(report: VerificationReport) -> str:
     lines = [f"verification report (tool version {report.version})"]
     if report.options_matrix:
         lines.append("options matrix: " + ", ".join(
@@ -562,24 +538,73 @@ def _write_text(report: VerificationReport, out: TextIO) -> None:
         cx = f" (first counterexample: {t['first_counterexample']})" if t["first_counterexample"] else ""
         lines.append(f"  [{okey}]: {t['match']} match, {t['mismatch']} mismatch{cx}")
     lines.append("records:")
-    out.write("\n".join(lines) + "\n")
-    for i in range(0, len(report.records), _CHUNK):
-        out.write("".join(f"  {r.claim.value} {r.instance} lhs={r.lhs} rhs={r.rhs} "
-                          f"{r.verdict}\n" for r in report.records[i:i + _CHUNK]))
+    return "\n".join(lines) + "\n"
 
 
-_WRITERS = {"json": _write_json, "csv": _write_csv, "text": _write_text}
-REPORT_FORMATS = tuple(_WRITERS)
+def _text_rows(records: Sequence[VerificationRecord]) -> str:
+    return "".join(f"  {r.claim.value} {r.instance} lhs={r.lhs} rhs={r.rhs} {r.verdict}\n" for r in records)
 
 
-def write_report(report: VerificationReport, format: str, out: TextIO) -> None:
-    """Write the report to the text stream out; JSON is the canonical machine format."""
-    if format not in _WRITERS:
-        raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
-    _WRITERS[format](report, out)
+# per format: (head, rows of a chunk, the text between two chunks' rows, tail)
+_FORMATS = {
+    "json": (_json_head, _json_rows, ",", _json_tail),
+    "csv": (lambda report: "claim,instance,lhs,rhs,verdict\n", _csv_rows, "", lambda report: ""),
+    "text": (_text_head, _text_rows, "", lambda report: ""),
+}
+REPORT_FORMATS = tuple(_FORMATS)
 
 
 def report_to_json(report: VerificationReport) -> str:
-    buf = io.StringIO()
-    _write_json(report, buf)
-    return buf.getvalue()
+    """The JSON bytes of a held report, from the writer's own spellers."""
+    return _json_head(report) + _json_rows(report.records) + _json_tail(report)
+
+
+def write_claims(claims: Iterable[ClaimId], budget: Budget, format: str,
+                 open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
+    """Write the report of claims at budget, in format (json, csv or text),
+    to the text stream that open_out() opens: the bytes of build_report of
+    the claims' records, in report order, under OPTIONS_MATRIX.
+
+    The format and every claim's guard are checked before any work.  The
+    claims share one side memo for the run, so a side that two claims read
+    runs once per class and k_max.  Only the spelled rows of the records are
+    kept, in the spill (_write_records).
+    """
+    if format not in _FORMATS:
+        raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
+    claims = sorted(claims, key=lambda c: c.value)
+    budgets = [resolve_budget(claim, budget) for claim in claims]
+    memo: dict = {}
+    _write_records(chain.from_iterable(_records(c, b, memo) for c, b in zip(claims, budgets)), format, open_out)
+
+
+def _write_records(records: Iterable[VerificationRecord], format: str,
+                   open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
+    """Write the report of records, in canonical order, holding one chunk of
+    them at a time.
+
+    Each chunk of _CHUNK records is tallied and its rows spilled to an
+    unnamed temporary file.  The head needs every tally, so open_out is
+    called only after the walk, for every format: a walk that fails, or
+    records out of order, open nothing.  Then the head, the spill and the
+    tail are written.
+    """
+    import tempfile
+
+    head, rows, sep, tail = _FORMATS[format]
+    records = iter(records)
+    tally = _Tally()
+    with tempfile.TemporaryFile("w+", encoding="ascii") as spill:
+        between = ""
+        while chunk := list(islice(records, _CHUNK)):
+            tally.add(chunk)
+            spill.write(between + rows(chunk))
+            between = sep
+        report = VerificationReport(__version__, OPTIONS_MATRIX, [], tally.summary, tally.options_summary,
+                                    tally.first_counterexample)
+        spill.seek(0)
+        with open_out() as out:
+            out.write(head(report))
+            while text := spill.read(1 << 16):
+                out.write(text)
+            out.write(tail(report))

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from kmatchlab.fastcount import FastCountOptions, fast_count
-from kmatchlab.graph import enumerate_all_graphs, generate
+from kmatchlab.graph import generate
 from kmatchlab.harness import (
     Budget,
     ClaimId,
@@ -20,6 +20,8 @@ from kmatchlab.harness import (
     verify_claim,
 )
 from kmatchlab.oracle import count_k_directed_matchings, count_k_matchings
+
+from helpers import enumerate_all_graphs
 
 CC = FastCountOptions("corrected", "corrected")
 

@@ -177,17 +177,27 @@ def test_search_stdout_bytes_equal_file_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text(encoding="ascii")
 
 
-@pytest.mark.parametrize("n_max, k_max", [(7, 1), (1, 9)])
-def test_refused_search_makes_no_file(tmp_path, capsys, n_max, k_max):
+# each report command: the search, and verify in each format; CSV has no
+# head, so it too must spill its rows before the output is opened
+_REPORT_COMMANDS = {"search": ["search"], **{
+    f"verify-{format}": ["verify", "--claim", "END_TO_END", "--format", format] for format in ("json", "csv", "text")}}
+_REFUSED = [(command, n_max, k_max) for command in _REPORT_COMMANDS for n_max, k_max in [(7, 1), (1, 9)]]
+
+
+@pytest.mark.parametrize("command, n_max, k_max", _REFUSED,
+                         ids=[f"{c}-{n}-{k}".removeprefix("search-") for c, n, k in _REFUSED])
+def test_refused_search_makes_no_file(tmp_path, capsys, command, n_max, k_max):
     # the guard refuses before the walk, so before the output is opened
     out = tmp_path / "search.json"
-    assert main(["search", "--nmax", str(n_max), "--kmax", str(k_max), "--out", str(out)]) == 2
+    argv = _REPORT_COMMANDS[command] + ["--nmax", str(n_max), "--kmax", str(k_max), "--out", str(out)]
+    assert main(argv) == 2
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_failed_search_walk_makes_no_file(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", list(_REPORT_COMMANDS))
+def test_failed_search_walk_makes_no_file(tmp_path, capsys, monkeypatch, command):
     # the output is opened only once the walk is done; a walk that fails
     # after several chunks have been spilled leaves no file behind
     def refuse_n5(g, k_max):
@@ -197,7 +207,7 @@ def test_failed_search_walk_makes_no_file(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(harness, "matching_counts", refuse_n5)
     out = tmp_path / "search.json"
-    assert main(["search", "--nmax", "5", "--kmax", "3", "--out", str(out)]) == 2
+    assert main(_REPORT_COMMANDS[command] + ["--nmax", "5", "--kmax", "3", "--out", str(out)]) == 2
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: refused at n = 5\n"

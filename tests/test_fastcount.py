@@ -31,12 +31,13 @@ from kmatchlab.fastcount import (
 from kmatchlab.graph import (
     MAX_ENUM_N,
     degree_vector,
-    enumerate_all_graphs,
     from_edge_list,
     generate,
     graph_from_mask,
 )
 from kmatchlab.oracle import count_k_matchings
+
+from helpers import enumerate_all_graphs
 
 CC = FastCountOptions(gmode="corrected", index_convention="corrected")
 CP = FastCountOptions(gmode="corrected", index_convention="paper")

@@ -16,7 +16,6 @@ from kmatchlab.graph import (
     Graph,
     degree_vector,
     encode_graph6,
-    enumerate_all_graphs,
     from_edge_list,
     generate,
     graph6_from_mask,
@@ -26,6 +25,8 @@ from kmatchlab.graph import (
     parse_graph6,
 )
 from kmatchlab.oracle import count_k_matchings, count_rook_placements
+
+from helpers import enumerate_all_graphs
 
 
 def _pairs(g):

@@ -21,8 +21,7 @@ from kmatchlab import cli, harness
 from kmatchlab.coeffs import GMODES
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
-from kmatchlab.graph import (encode_graph6, enumerate_all_graphs, from_edge_list, graph_classes, graph_from_mask,
-                             parse_graph6)
+from kmatchlab.graph import encode_graph6, from_edge_list, graph_classes, graph_from_mask, parse_graph6
 from kmatchlab.harness import (
     OPTIONS_MATRIX,
     Budget,
@@ -33,14 +32,16 @@ from kmatchlab.harness import (
     report_from_json,
     report_to_json,
     verify_claim,
-    write_report,
 )
 from kmatchlab.oracle import count_k_matchings, matching_counts
 
+from helpers import enumerate_all_graphs
+
 
 def _written(report, format):
+    # the report writer, fed the report's records
     buf = io.StringIO()
-    write_report(report, format, buf)
+    harness._write_records(report.records, format, lambda: nullcontext(buf))
     return buf.getvalue()
 
 
@@ -207,7 +208,7 @@ def test_search_report_golden_digest(n_max, k_max, digest):
 @pytest.mark.parametrize("sink", ["file", "stdout"])
 @pytest.mark.parametrize("n_max, k_max, digest", SEARCH_DIGESTS)
 def test_cli_search_golden_digest(tmp_path, capsys, n_max, k_max, digest, sink):
-    # `kmatch search` streams its report through write_search, never through
+    # `kmatch search` streams its report through write_claims, never through
     # discrepancy_search: the same bytes, to a file and to stdout
     argv = ["search", "--nmax", str(n_max), "--kmax", str(k_max)]
     path = tmp_path / "search.json"
@@ -235,15 +236,25 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_streamed_search_holds_one_chunk_of_records():
+def _search(n_max, k_max, open_out):
+    harness.write_claims([ClaimId.END_TO_END], Budget(n_max, k_max), "json", open_out)
+
+
+def test_streamed_search_holds_one_chunk_of_records(tmp_path):
     # the 13,188 records of (5, 3) take about 1.7 MB held in a list; the
     # stream holds one chunk of them and peaked at 0.28-0.34 MB (Python 3.11)
     sink = _HashSink()
-    harness.write_search(5, 3, lambda: nullcontext(sink))  # fills the caches
+    _search(5, 3, lambda: nullcontext(sink))  # fills the caches
     assert sink.sha.hexdigest() == SEARCH_DIGESTS[1][2]
     bound = 1_000_000
-    assert _traced_peak(lambda: harness.write_search(5, 3, lambda: nullcontext(_HashSink()))) < bound
-    assert _traced_peak(lambda: harness._write_json(discrepancy_search(5, 3), _HashSink())) > bound
+    assert _traced_peak(lambda: _search(5, 3, lambda: nullcontext(_HashSink()))) < bound
+    assert _traced_peak(lambda: report_to_json(discrepancy_search(5, 3))) > bound
+    # `kmatch verify` writes through the same stream, in every format: it
+    # peaked at 0.36-0.43 MB, and at 1.7-1.8 MB when it held its records
+    for format in ("json", "csv", "text"):
+        argv = ["verify", "--claim", "END_TO_END", "--nmax", "5", "--kmax", "3", "--format", format,
+                "--out", str(tmp_path / f"rep.{format}")]
+        assert _traced_peak(lambda: cli.main(argv)) < bound, format
 
 
 def _chunked_tally(records, size):
@@ -263,7 +274,7 @@ def test_tallies_resume_across_chunks(monkeypatch):
     assert (tally.summary, tally.options_summary, tally.first_counterexample) == (
         rep.summary, rep.options_summary, rep.first_counterexample)
     sink = _HashSink()
-    harness.write_search(4, 2, lambda: nullcontext(sink))
+    _search(4, 2, lambda: nullcontext(sink))
     assert sink.sha.hexdigest() == SEARCH_DIGESTS[0][2]
 
 
@@ -546,6 +557,49 @@ def test_graph_walker_pairs_each_record_with_its_own_variant(monkeypatch, claim)
         assert calls[name] == per_value * len(_READ_VARIANTS[read]), name
 
 
+# each chain referee, which two claims read, and one of those claims
+_SHARED_REFEREES = {
+    "matching_counts": ClaimId.LEMMA1_VS_ORACLE,
+    "lemma1_sum": ClaimId.LEMMA1_VS_ORACLE,
+    "theorem1_eval": ClaimId.THM1_VS_LEMMA1,
+    "theorem2_eval": ClaimId.THM2_VS_THM1,
+    "lemma7_eval": ClaimId.LEMMA7_VS_THM2,
+    "fast_count": ClaimId.END_TO_END,
+}
+
+
+def test_claims_of_one_run_share_each_side(monkeypatch, tmp_path):
+    # under `kmatch verify --claim all` the claims share the run's side memo:
+    # each referee is called as often as by one claim that reads it, not once
+    # per claim
+    calls = dict.fromkeys(_SHARED_REFEREES, 0)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    argv = ["verify", "--claim", "all", "--nmax", "4", "--kmax", "2", "--out", str(tmp_path / "all.json")]
+    assert cli.main(argv) == 0
+    under_all = dict(calls)
+    for name, claim in _SHARED_REFEREES.items():
+        calls.update(dict.fromkeys(calls, 0))
+        verify_claim(claim, Budget(n_max=4, k_max=2))
+        assert under_all[name] == calls[name] > 0, name
+
+
+def test_side_memo_keys_on_k_max():
+    # one memo across walks at several k_max: a side's values for one k_max
+    # are never read for another
+    memo = {}
+    for k_max in (1, 3, 2):
+        budget = Budget(n_max=4, k_max=k_max)
+        assert list(harness._records(ClaimId.END_TO_END, budget, memo)) == verify_claim(ClaimId.END_TO_END, budget)
+
+
 def test_json_round_trip_preserves_everything():
     rep = discrepancy_search(3, 2)
     back = report_from_json(report_to_json(rep))
@@ -574,9 +628,10 @@ def test_every_sink_gets_the_formatter_bytes(verify_all_report, tmp_path, capsys
     want = formatter(verify_all_report)
     assert len(verify_all_report.records) > 2 * harness._CHUNK
     path = tmp_path / f"rep.{format}"
-    cli._emit_report(verify_all_report, format, str(path))
+    argv = ["verify", "--claim", "all", "--format", format]
+    assert cli.main(argv + ["--out", str(path)]) == 0
     assert path.read_bytes() == want.encode("ascii")
-    cli._emit_report(verify_all_report, format, None)
+    assert cli.main(argv) == 0
     assert capsys.readouterr().out == want
 
 
@@ -618,10 +673,10 @@ def test_streamed_tallies_refuse_the_same_record(monkeypatch, disorder, first_ou
         with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
             _chunked_tally(recs, size)
     monkeypatch.setattr(harness, "_CHUNK", 3)
-    monkeypatch.setattr(harness, "_records", lambda claim, budget: iter(recs))
+    monkeypatch.setattr(harness, "_records", lambda claim, budget, memo: iter(recs))
     opened = []
     with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
-        harness.write_search(1, 1, lambda: opened.append(1))
+        _search(1, 1, lambda: opened.append(1))
     assert opened == []
 
 
@@ -693,23 +748,23 @@ def test_text_format_mentions_tallies():
 
 
 def test_write_report_and_bad_paths(tmp_path):
-    recs = verify_claim(ClaimId.LEMMA3, Budget(n_max=2))
-    rep = build_report(recs)
+    claims, budget = [ClaimId.LEMMA3], Budget(n_max=2)
+    rep = build_report(verify_claim(ClaimId.LEMMA3, budget), OPTIONS_MATRIX)
     buf = io.StringIO()
-    write_report(rep, "json", buf)
+    harness.write_claims(claims, budget, "json", lambda: nullcontext(buf))
     assert report_from_json(buf.getvalue()) == rep
     buf = io.StringIO()
     with pytest.raises(ValueError):
-        write_report(rep, "yaml", buf)
+        harness.write_claims(claims, budget, "yaml", lambda: nullcontext(buf))
     assert buf.getvalue() == ""
     # the CLI opens --out itself: a bad format makes no file, a bad path
     # names the path
     out = tmp_path / "rep.yaml"
     with pytest.raises(ValueError):
-        cli._emit_report(rep, "yaml", str(out))
+        harness.write_claims(claims, budget, "yaml", lambda: cli._open_out(str(out)))
     assert not out.exists()
     with pytest.raises(OSError, match="failed writing report to"):
-        cli._emit_report(rep, "json", str(tmp_path / "missing" / "rep.json"))
+        harness.write_claims(claims, budget, "json", lambda: cli._open_out(str(tmp_path / "missing" / "rep.json")))
 
 
 def test_records_are_frozen_and_comparable():

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from kmatchlab.errors import CapacityError
 from kmatchlab.exact import falling_factorial
-from kmatchlab.graph import Graph, enumerate_all_graphs, from_edge_list, generate
+from kmatchlab.graph import Graph, from_edge_list, generate
 from kmatchlab.oracle import (
     MAX_MATCH_EDGES,
     MAX_MATCH_K,
@@ -29,6 +29,8 @@ from kmatchlab.oracle import (
     theorem1_eval,
     theorem2_eval,
 )
+
+from helpers import enumerate_all_graphs
 
 
 def _matchings_by_edge_subsets(g: Graph, k: int) -> int:
