@@ -8,15 +8,14 @@ small instances, recording exact match/mismatch verdicts.
 
 from ._version import __version__
 from .errors import CapacityError, Graph6ParseError
-from .graph import Graph, degree_vector, from_edge_list, generate, parse_graph6
+from .graph import Graph, from_edge_list, generate, parse_graph6
 from .fastcount import CountResult, FastCountOptions, fast_count
-from .harness import ClaimId, VerificationRecord, VerificationReport, discrepancy_search, verify_claim
+from .harness import ClaimId, VerificationRecord, VerificationReport, verify_claim
 
 __all__ = [
     "CapacityError",
     "Graph6ParseError",
     "Graph",
-    "degree_vector",
     "from_edge_list",
     "generate",
     "parse_graph6",
@@ -26,6 +25,5 @@ __all__ = [
     "ClaimId",
     "VerificationRecord",
     "VerificationReport",
-    "discrepancy_search",
     "verify_claim",
 ]

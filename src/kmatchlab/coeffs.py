@@ -1,9 +1,9 @@
 """Integer coefficient tables used by the fast counting formula.
 
 Each table is one read-only mapping per level, built by its defining
-recursion.  Every f and F level, and every g' row up to ``MAX_FAST_K``, is
-built once, cached, and returned as the cached mapping itself; a g' row
-above ``MAX_FAST_K`` is rebuilt on each call and not kept:
+recursion.  Only F levels and g' rows up to ``MAX_FAST_K`` are cached, and
+returned as the cached mapping itself; an f level, or a g' row above
+``MAX_FAST_K``, is rebuilt on each call, holding only the level before it:
 
 * ``compute_gprime(k, mode)`` - row k of the g' table, l -> g'_k(l) for
   1 <= l <= k, defined by a first-order recursion in k.  The k=2 base row
@@ -85,27 +85,20 @@ def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
     return prev
 
 
-# level m holds the partitions of exactly {1..m} and depends only on level
-# m-1; each level is stored read-only and returned as it is, never copied
-_F_LEVELS: dict[int, Mapping[Partition, int]] = {1: MappingProxyType({((1,),): 1})}
-
-
 def compute_f(m: int) -> Mapping[Partition, int]:
-    """f(pi) for every partition pi of {1..m}, in RGS order, read-only."""
+    """f(pi) for every partition pi of {1..m}, in RGS order, read-only, built anew."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if m > MAX_ENUM_M:
         raise CapacityError(f"f table for m={m} exceeds partition bound {MAX_ENUM_M}")
-    for level in range(max(_F_LEVELS) + 1, m + 1):
-        prev = _F_LEVELS[level - 1]
-        _F_LEVELS[level] = MappingProxyType(
-            {child: -c * fv if c else fv for pi, fv in prev.items() for child, c in grow(pi, level)}
-        )
-    return _F_LEVELS[m]
+    f: dict[Partition, int] = {((1,),): 1}
+    for level in range(2, m + 1):
+        f = {child: -c * fv if c else fv for pi, fv in f.items() for child, c in grow(pi, level)}
+    return MappingProxyType(f)
 
 
 # level m maps each block-size type of {1..m} (parts in non-increasing
-# order) to F(type); like _F_LEVELS, level m depends only on level m-1
+# order) to F(type); level m depends only on level m-1
 _F_TYPE_LEVELS: dict[int, Mapping[tuple[int, ...], int]] = {0: MappingProxyType({(): 1})}
 
 

@@ -13,14 +13,16 @@ built through the constructors below, never from a matrix.
 
 Supported external formats:
 
-* graph6 (standard ASCII encoding, single-byte order, n <= 62)
+* graph6 (standard ASCII encoding, single-byte order, n <= 62), decoded
+  from text and spelled only from an edge mask
 * plain edge-list text (input only): first line ``n m``, then m lines ``a b``
 
 An edge mask is graph6's data bits without their padding (graph_from_mask),
 so ascending masks are graphs in ascending graph6 order, the graph6 parser
-decodes through the same function as the enumeration, and graph6 is spelled
-from a mask by one encoder (graph6_from_mask).  graph_classes sorts the masks
-on n <= MAX_ENUM_N vertices into isomorphism classes.
+decodes through the same function as the enumeration, and the one graph6
+encoder (graph6_from_mask) spells a mask, which is all a report names a
+graph by.  graph_classes sorts the masks on n <= MAX_ENUM_N vertices into
+isomorphism classes.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class Graph:
 
     n: int
     rows: tuple[tuple[int, ...], ...]
-
-    def __str__(self) -> str:
-        """The graph's graph6 string."""
-        return encode_graph6(self)
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -130,22 +128,19 @@ def _check_n(n: int) -> None:
         raise CapacityError(f"refusing to enumerate 2^{n * (n - 1) // 2} graphs (n={n} > {MAX_ENUM_N})")
 
 
+@cache
 def graph_classes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(class id per edge mask, smallest mask per class) of the isomorphism
     classes of the graphs on n <= MAX_ENUM_N vertices, n checked on call.
 
     Class ids count up from 0 in ascending order of the classes' smallest
-    masks, each class's representative.  Built once per n.
+    masks, each class's representative.  Built once per n, by orbit marking:
+    the first unmarked mask in ascending order is a new class's smallest
+    mask, and each of its images under the n! relabelings is marked with
+    the class id; no canonical form is needed.  A refused n is checked again
+    on every call, since the cache keeps no raised error.
     """
     _check_n(n)
-    return _orbit_table(n)
-
-
-@cache
-def _orbit_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """graph_classes(n) by orbit marking: the first unmarked mask in ascending
-    order is a new class's smallest mask, and each of its images under the n!
-    relabelings is marked with the class id; no canonical form is needed."""
     # bit b of a mask is pairs[b], as in graph_from_mask
     pairs = [(i, j) for j in range(1, n) for i in range(j)][::-1]
     bit = {}
@@ -217,17 +212,6 @@ def parse_graph6(text: str) -> Graph:
     if x & (1 << pad) - 1:
         raise Graph6ParseError("nonzero padding bits", len(raw) - 1)
     return graph_from_mask(n, x >> pad)
-
-
-def encode_graph6(g: Graph) -> str:
-    """Inverse serializer for :func:`parse_graph6`."""
-    # pair p = j(j-1)/2 + i is bit nbits-1-p of the mask, as in graph_from_mask
-    top = g.n * (g.n - 1) // 2 - 1
-    mask = 0
-    for i, row in enumerate(g.rows):
-        for j in row:
-            mask |= 1 << (top - j * (j - 1) // 2 - i)
-    return graph6_from_mask(g.n, mask)
 
 
 def graph6_from_mask(n: int, mask: int) -> str:

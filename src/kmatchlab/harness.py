@@ -39,12 +39,13 @@ walker emits that order; build_report, whose input is public, refuses
 records out of it while it tallies them and sorts nothing.
 
 One writer, write_claims, writes the report of `kmatch verify` and of
-`kmatch search`, which is END_TO_END under its guard.  It holds no report:
-it tallies each chunk of the claims' records with build_report's _Tally,
-spells their rows in the chosen format and spills them to a temporary
-file, and only once the walk is done opens the output and writes the
-head, the spill and the tail.  discrepancy_search, build_report and
-report_to_json are the in-memory forms, which hold every record.
+`kmatch search`, which is END_TO_END under its guard.  It holds no
+records: build_report's tally, _tallied, counts each record into the
+tallies of a report with no records as it passes; the writer spells each
+chunk of them in the chosen format, spills it to a temporary file, and
+only once the walk is done opens the output and writes the head, the
+spill and the tail.  discrepancy_search, build_report and report_to_json
+are the in-memory forms, which hold every record.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def _side_values(memo: dict, side, g_key, g, k_max: int):
     return vs
 
 
-def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
+def _graph_walker(lhs, rhs, tails=_k_tails):
     """Compare side lhs with side rhs on every labeled graph with n <= n_max,
     yielding a head per tail of tails(k_max) and both sides' values for it.
 
@@ -284,12 +285,10 @@ def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
     tail for a class of graph.graph_classes from one call on the class's
     smallest-mask graph, and is called once per (class, k_max) in the run's
     memo, keyed on (side, (n, representative mask), k_max), so that claims
-    which share a side share its values.  lhs, if by_degrees, sees the graph
-    only through its degree multiset and is keyed on its sorted degree
-    sequence instead.  Every labeled graph then gets its class's values, in
-    ascending mask order, which is graph6 order, its graph6 spelled from its
-    mask, then tails in their canonical order, so heads come in canonical
-    order.
+    which share a side share its values.  Every labeled graph then gets its
+    class's values, in ascending mask order, which is graph6 order, its
+    graph6 spelled from its mask, then tails in their canonical order, so
+    heads come in canonical order.
     """
 
     def walk(budget, memo):
@@ -300,8 +299,7 @@ def _graph_walker(lhs, rhs, by_degrees: bool = False, tails=_k_tails):
             rows = []  # per class, (tail, lhs values, rhs values) per tail
             for rep in reps:
                 g = graph_from_mask(n, rep)
-                lkey = tuple(sorted(g.degrees)) if by_degrees else (n, rep)
-                rows.append(list(zip(tail_list, _side_values(memo, lhs, lkey, g, k_max),
+                rows.append(list(zip(tail_list, _side_values(memo, lhs, (n, rep), g, k_max),
                                      _side_values(memo, rhs, (n, rep), g, k_max))))
             for mask, c in enumerate(class_of):
                 prefix = f"n={n:02d}/g={graph6_from_mask(n, mask)}/"
@@ -342,9 +340,9 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
     ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_ENUM_N, 8), _graph_walker(_thm1, _lemma1)),
     ClaimId.THM2_VS_THM1: ClaimSpec((4, 2), (MAX_THEOREM2_N, 8), _graph_walker(_thm2, _thm1)),
     ClaimId.LEMMA7_VS_THM2: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(_lemma7, _thm2)),
-    ClaimId.THM3_VS_LEMMA7: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(_fast, _lemma7, by_degrees=True)),
-    ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _graph_walker(_products, _sums, True, _pi_tails)),
-    ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(_fast, _oracle, by_degrees=True)),
+    ClaimId.THM3_VS_LEMMA7: ClaimSpec((4, 2), (MAX_LEMMA7_N, 8), _graph_walker(_fast, _lemma7)),
+    ClaimId.THM4_FACTORIZATION: ClaimSpec((4, 4), (MAX_ENUM_N, 5), _graph_walker(_products, _sums, _pi_tails)),
+    ClaimId.END_TO_END: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(_fast, _oracle)),
 }
 
 
@@ -402,51 +400,41 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
 
 # -- report assembly and serialization ---------------------------------------
 
-class _Tally:
-    """build_report's tallies, taken a chunk of records at a time: add() goes
-    on where the last chunk stopped, so chunk boundaries change nothing."""
+def _tallied(records: Iterable[VerificationRecord], report: VerificationReport) -> Iterator[VerificationRecord]:
+    """Pass records through, each first counted into report's summary,
+    options_summary and first_counterexample.
 
-    def __init__(self) -> None:
-        self.summary: dict = {}
-        self.options_summary: dict = {}
-        self.first_counterexample: dict = {}
-        # the claim of the last record, its name, its tally, and the last
-        # (head, variant)
-        self._last: tuple = (None, "", None, "", "")
-
-    def add(self, records: Iterable[VerificationRecord]) -> None:
-        """Tally records, which continue the records already added.
-
-        The first record out of canonical order raises ValueError: claim
-        values rise strictly run by run, and (head, variant), ordered as the
-        instance is since no head is a proper prefix of another, never falls
-        in a run."""
-        summary, options_summary, first_cx = self.summary, self.options_summary, self.first_counterexample
-        claim, name, tally, last_head, last_variant = self._last
-        for c, head, _, _, verdict, variant in records:
-            if c is not claim:
-                if c.value <= name:
-                    break
-                claim, name = c, c.value
-                tally = summary[name] = {"match": 0, "mismatch": 0}
-            elif head <= last_head and (head < last_head or variant < last_variant):
+    The first record out of canonical order raises ValueError before it is
+    counted: claim values rise strictly run by run, and (head, variant),
+    ordered as the instance is since no head is a proper prefix of another,
+    never falls in a run."""
+    summary, options_summary, first_cx = report.summary, report.options_summary, report.first_counterexample
+    claim, name, tally, last_head, last_variant = None, "", None, "", ""
+    for r in records:
+        c, head, _, _, verdict, variant = r
+        if c is not claim:
+            if c.value <= name:
                 break
-            last_head, last_variant = head, variant
-            tally[verdict] += 1
-            if verdict == "mismatch" and name not in first_cx:
-                first_cx[name] = f"{head}/{variant}" if variant else head
-            if variant:
-                ot = options_summary.get(variant) or options_summary.setdefault(
-                    variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
-                ot[verdict] += 1
-                if verdict == "mismatch" and ot["first_counterexample"] is None:
-                    ot["first_counterexample"] = f"{head}/{variant}"
-        else:
-            self._last = (claim, name, tally, last_head, last_variant)
-            return
-        # the loop broke at the first record out of order
-        inst = f"{head}/{variant}" if variant else head
-        raise ValueError(f"records out of canonical order at {c.value} {inst}")
+            claim, name = c, c.value
+            tally = summary[name] = {"match": 0, "mismatch": 0}
+        elif head <= last_head and (head < last_head or variant < last_variant):
+            break
+        last_head, last_variant = head, variant
+        tally[verdict] += 1
+        if verdict == "mismatch" and name not in first_cx:
+            first_cx[name] = f"{head}/{variant}" if variant else head
+        if variant:
+            ot = options_summary.get(variant) or options_summary.setdefault(
+                variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+            ot[verdict] += 1
+            if verdict == "mismatch" and ot["first_counterexample"] is None:
+                ot["first_counterexample"] = f"{head}/{variant}"
+        yield r
+    else:
+        return
+    # the loop broke at the first record out of order
+    inst = f"{head}/{variant}" if variant else head
+    raise ValueError(f"records out of canonical order at {c.value} {inst}")
 
 
 def build_report(
@@ -455,13 +443,13 @@ def build_report(
 ) -> VerificationReport:
     """Tally a list of records per claim and per variant; the report keeps the list.
 
-    Records out of canonical order raise ValueError, as _Tally.add says."""
+    Records out of canonical order raise ValueError, as _tallied says."""
     if not isinstance(records, list):
         raise TypeError(f"build_report takes a list of records, got {type(records).__name__}")
-    tally = _Tally()
-    tally.add(records)
-    return VerificationReport(__version__, tuple(options_matrix), records, tally.summary, tally.options_summary,
-                              tally.first_counterexample)
+    report = VerificationReport(__version__, tuple(options_matrix), records, {}, {}, {})
+    for _ in _tallied(records, report):
+        pass
+    return report
 
 
 def report_from_json(text: str) -> VerificationReport:
@@ -583,8 +571,9 @@ def _write_records(records: Iterable[VerificationRecord], format: str,
     """Write the report of records, in canonical order, holding one chunk of
     them at a time.
 
-    Each chunk of _CHUNK records is tallied and its rows spilled to an
-    unnamed temporary file.  The head needs every tally, so open_out is
+    The records are tallied into a report with no records as they pass,
+    and each chunk of _CHUNK of them spilled as rows to an unnamed
+    temporary file.  The head needs every tally, so open_out is
     called only after the walk, for every format: a walk that fails, or
     records out of order, open nothing.  Then the head, the spill and the
     tail are written.
@@ -592,16 +581,13 @@ def _write_records(records: Iterable[VerificationRecord], format: str,
     import tempfile
 
     head, rows, sep, tail = _FORMATS[format]
-    records = iter(records)
-    tally = _Tally()
+    report = VerificationReport(__version__, OPTIONS_MATRIX, [], {}, {}, {})
+    records = _tallied(records, report)
     with tempfile.TemporaryFile("w+", encoding="ascii") as spill:
         between = ""
         while chunk := list(islice(records, _CHUNK)):
-            tally.add(chunk)
             spill.write(between + rows(chunk))
             between = sep
-        report = VerificationReport(__version__, OPTIONS_MATRIX, [], tally.summary, tally.options_summary,
-                                    tally.first_counterexample)
         spill.seek(0)
         with open_out() as out:
             out.write(head(report))

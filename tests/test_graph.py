@@ -15,7 +15,6 @@ from kmatchlab.graph import (
     MAX_ENUM_N,
     Graph,
     degree_vector,
-    encode_graph6,
     from_edge_list,
     generate,
     graph6_from_mask,
@@ -26,7 +25,7 @@ from kmatchlab.graph import (
 )
 from kmatchlab.oracle import count_k_matchings, count_rook_placements
 
-from helpers import enumerate_all_graphs
+from helpers import encode_graph6, enumerate_all_graphs
 
 
 def _pairs(g):
@@ -274,7 +273,7 @@ def test_graph6_from_mask_spells_the_graph_of_the_mask():
     for n in range(1, MAX_ENUM_N + 1):
         for mask in range(0, 1 << n * (n - 1) // 2, 7 if n == MAX_ENUM_N else 1):
             g = graph_from_mask(n, mask)
-            assert graph6_from_mask(n, mask) == encode_graph6(g) == str(g)
+            assert graph6_from_mask(n, mask) == encode_graph6(g)
             assert parse_graph6(graph6_from_mask(n, mask)) == g
     with pytest.raises(ValueError):
         graph6_from_mask(63, 0)
@@ -377,12 +376,22 @@ def test_graph_classes_agree_with_brute_force_canonical_forms(n):
 
 
 def test_graph_classes_guard(monkeypatch):
-    # n is checked on the call itself, before any orbit is marked
-    def no_work(n):
+    # n is checked on the call itself, before any relabeling is listed
+    def no_work(*args):
         raise AssertionError("orbit table built past the guard")
 
-    monkeypatch.setattr(graph, "_orbit_table", no_work)
+    monkeypatch.setattr(graph, "permutations", no_work)
     with pytest.raises(CapacityError):
         graph_classes(MAX_ENUM_N + 1)
     with pytest.raises(ValueError):
         graph_classes(0)
+
+
+def test_graph_classes_refuses_on_every_call_and_builds_each_table_once():
+    # the cache keeps a table, never a refusal
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            graph_classes(0)
+        with pytest.raises(CapacityError):
+            graph_classes(MAX_ENUM_N + 1)
+    assert graph_classes(5) is graph_classes(5)

@@ -12,7 +12,6 @@ import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from kmatchlab import cli, harness
 from kmatchlab.coeffs import GMODES
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
-from kmatchlab.graph import encode_graph6, from_edge_list, graph_classes, graph_from_mask, parse_graph6
+from kmatchlab.graph import from_edge_list, graph_classes, graph_from_mask, parse_graph6
 from kmatchlab.harness import (
     OPTIONS_MATRIX,
     Budget,
@@ -35,7 +34,7 @@ from kmatchlab.harness import (
 )
 from kmatchlab.oracle import count_k_matchings, matching_counts
 
-from helpers import enumerate_all_graphs
+from helpers import encode_graph6, enumerate_all_graphs
 
 
 def _written(report, format):
@@ -257,25 +256,25 @@ def test_streamed_search_holds_one_chunk_of_records(tmp_path):
         assert _traced_peak(lambda: cli.main(argv)) < bound, format
 
 
-def _chunked_tally(records, size):
-    tally, it = harness._Tally(), iter(records)
-    while chunk := list(islice(it, size)):
-        tally.add(chunk)
-    return tally
-
-
 def test_tallies_resume_across_chunks(monkeypatch):
-    # 7 records a chunk: chunk boundaries fall inside the 4 variants of a head
-    monkeypatch.setattr(harness, "_CHUNK", 7)
+    # chunks of 1, 3 and 7 records fall inside the 4 variants of a head; the
+    # writer's tallies and bytes, in every format, are those of the whole list
     recs = verify_claim(ClaimId.END_TO_END, Budget(4, 2))
     assert len(recs) % 7 and len({r.head for r in recs[:7]}) == 2
     rep = build_report(recs, OPTIONS_MATRIX)
-    tally = _chunked_tally(recs, 7)
-    assert (tally.summary, tally.options_summary, tally.first_counterexample) == (
-        rep.summary, rep.options_summary, rep.first_counterexample)
-    sink = _HashSink()
-    _search(4, 2, lambda: nullcontext(sink))
-    assert sink.sha.hexdigest() == SEARCH_DIGESTS[0][2]
+    want = {format: _written(rep, format) for format in ("json", "csv", "text")}
+    assert hashlib.sha256(want["json"].encode("ascii")).hexdigest() == SEARCH_DIGESTS[0][2]
+    for size in (1, 3, 7):
+        monkeypatch.setattr(harness, "_CHUNK", size)
+        got = {format: _written(rep, format) for format in want}
+        assert got == want, size
+        # the JSON head carries every tally the writer kept
+        back = report_from_json(got["json"])
+        assert (back.summary, back.options_summary, back.first_counterexample) == (
+            rep.summary, rep.options_summary, rep.first_counterexample), size
+        sink = _HashSink()
+        _search(4, 2, lambda: nullcontext(sink))
+        assert sink.sha.hexdigest() == SEARCH_DIGESTS[0][2], size
 
 
 @pytest.fixture(scope="module")
@@ -448,16 +447,15 @@ def test_every_side_is_label_invariant():
                     assert side(h, 2) == want, (side.__name__, encode_graph6(g), encode_graph6(h))
 
 
-@pytest.mark.parametrize("claim, lhs, rhs, by_degrees, tails", [
-    (ClaimId.LEMMA1_VS_ORACLE, "_lemma1", "_oracle", False, "_k_tails"),
-    (ClaimId.END_TO_END, "_fast", "_oracle", True, "_k_tails"),
-    (ClaimId.THM4_FACTORIZATION, "_products", "_sums", True, "_pi_tails"),
+@pytest.mark.parametrize("claim, lhs, rhs, tails", [
+    (ClaimId.LEMMA1_VS_ORACLE, "_lemma1", "_oracle", "_k_tails"),
+    (ClaimId.END_TO_END, "_fast", "_oracle", "_k_tails"),
+    (ClaimId.THM4_FACTORIZATION, "_products", "_sums", "_pi_tails"),
 ], ids=["LEMMA1_VS_ORACLE", "END_TO_END", "THM4_FACTORIZATION"])
-def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, claim, lhs, rhs, by_degrees, tails):
+def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, claim, lhs, rhs, tails):
     # a side answers every k <= k_max (every THM4 partition of {1..m},
     # m <= k_max) in one call: once per isomorphism class, on its
-    # smallest-mask graph, or, if it sees only degrees, once per sorted
-    # degree sequence
+    # smallest-mask graph, in walk order, even a side that sees only degrees
     seen = {lhs: [], rhs: []}
 
     def counted(name):
@@ -467,21 +465,15 @@ def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, clai
         return side
 
     # n = 5 is the first n at which two classes share a sorted degree
-    # sequence (P5 and K3+K2 among them)
+    # sequence (P5 and K3+K2 among them), where a memo keyed on degrees
+    # would call _fast and _products fewer times
     budget = Budget(n_max=5, k_max=3)
     want = verify_claim(claim, budget)
-    walk = harness._graph_walker(counted(lhs), counted(rhs), by_degrees, getattr(harness, tails))
+    walk = harness._graph_walker(counted(lhs), counted(rhs), getattr(harness, tails))
     monkeypatch.setitem(harness._SPECS, claim, replace(harness._SPECS[claim], walk=walk))
     assert verify_claim(claim, budget) == want
-    graphs = [g for n in range(1, budget.n_max + 1) for g in enumerate_all_graphs(n)]
-    assert seen[rhs] == [(g, budget.k_max) for g in _class_reps(budget.n_max)]
-    if by_degrees:
-        def degrees(g): return tuple(sorted(g.degrees))
-        assert {k for _, k in seen[lhs]} == {budget.k_max}
-        assert sorted(degrees(g) for g, _ in seen[lhs]) == sorted({degrees(g) for g in graphs})
-        assert len(seen[lhs]) < len(seen[rhs])
-    else:
-        assert seen[lhs] == seen[rhs]
+    reps = [(g, budget.k_max) for g in _class_reps(budget.n_max)]
+    assert seen[lhs] == seen[rhs] == reps
 
 
 # per graph claim, its (lhs, rhs) referees as (name in harness, what each reads
@@ -666,17 +658,15 @@ def test_build_report_refuses_records_out_of_order(disorder, first_out):
 
 @DISORDER_CASES
 def test_streamed_tallies_refuse_the_same_record(monkeypatch, disorder, first_out):
-    # chunk by chunk, the stream refuses the record build_report refuses,
-    # and opens no output
+    # chunk by chunk, in every format, the stream refuses the record
+    # build_report refuses, and opens no output
     recs = disorder(_order_case_records())
-    for size in (1, 3, 7):
-        with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
-            _chunked_tally(recs, size)
-    monkeypatch.setattr(harness, "_CHUNK", 3)
-    monkeypatch.setattr(harness, "_records", lambda claim, budget, memo: iter(recs))
     opened = []
-    with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
-        _search(1, 1, lambda: opened.append(1))
+    for size in (1, 3, 7):
+        monkeypatch.setattr(harness, "_CHUNK", size)
+        for format in ("json", "csv", "text"):
+            with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
+                harness._write_records(recs, format, lambda: opened.append(1))
     assert opened == []
 
 
