@@ -17,19 +17,24 @@ test, rhs = the reference it is supposed to equal):
   END_TO_END         fast_count  vs  matching_counts
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
-its walker, which yields (head, lhs values, rhs values) per instance head;
-_records alone turns those into records.  The seven graph claims share
-one walker and are each a pair of named sides, each called once per
-isomorphism class of graphs for every head tail of k_max, spelled once
-per walk: one per chain referee (_oracle, _lemma1, _thm1, _thm2, _lemma7,
-_fast) with tails k=KK, and THM4's _products and _sums with tails
-m=MM/pi={...}.  Every labeled graph of a class gets its class's values.
+its walker, which yields (head, comparisons) per instance head, the
+comparisons decided by _compare from the head's lhs and rhs values.  The
+seven graph claims share one walker and are each a pair of named sides,
+each called once per isomorphism class of graphs for every head tail of
+k_max, spelled once per walk: one per chain referee (_oracle, _lemma1,
+_thm1, _thm2, _lemma7, _fast) with tails k=KK, and THM4's _products and
+_sums with tails m=MM/pi={...}.  The walker decides each (class, tail)
+once, and every labeled graph of a class gets its class's comparisons.
 The sides' values go in one memo per run, which every claim of the run
 shares, so a side that two claims read runs once per class and k_max.
 
-Records are structured: claim, instance head, variant ("", gmode=X or
-gmode=X/index=Y, also the options_summary key) and lhs/rhs as the referees
-return them, int or Fraction.  The instance key is head/variant.
+A comparison is (variant, lhs, rhs, verdict, str(lhs), str(rhs)): the
+variant ("", gmode=X or gmode=X/index=Y, also the options_summary key),
+the values as the referees return them, int or Fraction, and their
+spellings.  A head, (claim, instance head, comparisons), is the unit the
+report writer tallies and spells.  Records are structured: claim, head,
+lhs, rhs, verdict and variant, one per comparison, made by _records only
+where a caller holds them.  The instance key is head/variant.
 
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
 rounded or tolerated.  Reports are canonical: records in (claim, instance
@@ -39,13 +44,14 @@ walker emits that order; build_report, whose input is public, refuses
 records out of it while it tallies them and sorts nothing.
 
 One writer, write_claims, writes the report of `kmatch verify` and of
-`kmatch search`, which is END_TO_END under its guard.  It holds no
-records: build_report's tally, _tallied, counts each record into the
-tallies of a report with no records as it passes; the writer spells each
-chunk of them in the chosen format, spills it to a temporary file, and
-only once the walk is done opens the output and writes the head, the
-spill and the tail.  discrepancy_search, build_report and report_to_json
-are the in-memory forms, which hold every record.
+`kmatch search`, which is END_TO_END under its guard.  It makes no
+records: it takes the walk's heads a chunk at a time, counts each chunk
+into the tallies of a report with no records in one call of _tally,
+spells it in the chosen format, spills it to a temporary file, and only
+once the walk is done opens the output and writes the head, the spill and
+the tail.  discrepancy_search, build_report and report_to_json are the
+in-memory forms, which hold every record; they, and _write_records, group
+their records into heads (_heads_of) for the same tally and spellers.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice, product
+from itertools import chain, groupby, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -104,6 +110,11 @@ class VerificationRecord(NamedTuple):
         return f"{self.head}/{self.variant}" if self.variant else self.head
 
 
+# a head: (claim, instance head, comparisons), each comparison (variant,
+# lhs, rhs, verdict, str(lhs), str(rhs)), as _compare makes them
+_Head = tuple[ClaimId, str, tuple[tuple, ...]]
+
+
 @dataclass
 class VerificationReport:
     version: str
@@ -143,11 +154,12 @@ def _mat(X: Sequence[Sequence[int]]) -> str:
 #
 # A walker takes a budget, with its n_max and k_max already resolved, and
 # the run's side memo, which only the graph walker reads, and yields
-# (head, lhs values, rhs values) per instance head, in canonical head
-# order, each side's values in the report order of the variants it reads:
-# one value, one per gmode of GMODES or one per entry of OPTIONS_MATRIX.
-# _records alone turns these into records, so no walker knows its
-# claim, a variant's spelling or a verdict, and none sorts.
+# (head, _compare(lhs values, rhs values)) per instance head, in canonical
+# head order, each side's values in the report order of the variants it
+# reads: one value, one per gmode of GMODES or one per entry of
+# OPTIONS_MATRIX.  _compare alone pairs values, spells variants and
+# decides verdicts, so no walker knows its claim, a variant's spelling or
+# a verdict, and none sorts.
 # Referees are looked up as module globals at call time, never held in a
 # spec, so that rebinding one here (a tracer's wrapper, a test's
 # monkeypatch) takes effect.
@@ -170,7 +182,7 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
                 xs.append((f"n={n:02d}/seed={budget.seed:03d}/trial={t:02d}/x={_vec(x)}", x))
             xs += [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
             for inst, x in xs:
-                yield inst, [injection_sum((x, x))], [_double_sum(x) - diagonal(x)]
+                yield inst, _compare([injection_sum((x, x))], [_double_sum(x) - diagonal(x)])
 
     return walk
 
@@ -191,14 +203,14 @@ def _records_lemma4(budget, _memo):
     # vs the falling factorial
     for k in range(2, budget.k_max + 1):
         for s in range(0, 9):
-            yield f"k={k:02d}/s={s:02d}", _gprime_sums(k, s), [falling_factorial(s, k)]
+            yield f"k={k:02d}/s={s:02d}", _compare(_gprime_sums(k, s), [falling_factorial(s, k)])
     # the vector half, k <= _LEMMA4_VECTOR_K: injection_sum on k copies of a
     # 0/1 vector x vs the expansion at s = sum(x)
     kv_max = min(_LEMMA4_VECTOR_K, budget.k_max)
     for n in range(1, budget.n_max + 1):
         for x in product((0, 1), repeat=n):
             for k in range(2, kv_max + 1):
-                yield f"n={n:02d}/x={_vec(x)}/k={k:02d}", [injection_sum((x,) * k)], _gprime_sums(k, sum(x))
+                yield f"n={n:02d}/x={_vec(x)}/k={k:02d}", _compare([injection_sum((x,) * k)], _gprime_sums(k, sum(x)))
 
 
 def _lemma6_expansion(X, ftab) -> int:
@@ -221,7 +233,7 @@ def _records_lemma6(budget, _memo):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
                 X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
                 inst = f"m={m:02d}/n={n:02d}/seed={seed:03d}/trial={t:02d}/X={_mat(X)}"
-                yield inst, [_lemma6_expansion(X, ftab)], [injection_sum(X)]
+                yield inst, _compare([_lemma6_expansion(X, ftab)], [injection_sum(X)])
 
 
 # The chain referees, one side each: side(g, k_max) looks its referee up when
@@ -253,18 +265,30 @@ def _k_tails(k_max): return [f"k={k:02d}" for k in range(1, k_max + 1)]
 def _pi_tails(m_max): return [tail for tail, _ in _thm4_partitions(m_max)]
 
 
-# the variants of a head in report order, by its records per head
+# the variants of a head in report order, by its comparisons per head
 _VARIANTS = {len(vs): vs for vs in ([""], [f"gmode={gm}" for gm in GMODES],
                                      [f"gmode={o.gmode}/index={o.index_convention}" for o in OPTIONS_MATRIX])}
 
 
 @cache
 def _pairing(a: int, b: int) -> tuple[tuple[str, int, int], ...]:
-    """(variant, lhs index, rhs index) per record of a head whose sides give
-    a and b values: record i of rows = max(a, b) reads value i * a // rows
-    of lhs and i * b // rows of rhs."""
+    """(variant, lhs index, rhs index) per comparison of a head whose sides
+    give a and b values: comparison i of rows = max(a, b) reads value
+    i * a // rows of lhs and i * b // rows of rhs."""
     rows = max(a, b)
     return tuple((v, i * a // rows, i * b // rows) for i, v in enumerate(_VARIANTS[rows]))
+
+
+def _compare(lv: Sequence, rv: Sequence) -> tuple[tuple, ...]:
+    """The comparisons of a head whose sides give values lv and rv: one
+    (variant, lhs, rhs, verdict, str(lhs), str(rhs)) per value of the longer
+    side, paired as _pairing says.  A gmode's value goes with every options
+    entry of its gmode, as OPTIONS_MATRIX is gmode-major, and a lone value
+    with every variant.  Each value's str, taken once per value, is how every
+    report format spells it."""
+    ls, rs = [str(v) for v in lv], [str(v) for v in rv]
+    return tuple((variant, lv[i], rv[j], "match" if lv[i] == rv[j] else "mismatch", ls[i], rs[j])
+                 for variant, i, j in _pairing(len(lv), len(rv)))
 
 
 def _side_values(memo: dict, side, g_key, g, k_max: int):
@@ -278,15 +302,16 @@ def _side_values(memo: dict, side, g_key, g, k_max: int):
 
 def _graph_walker(lhs, rhs, tails=_k_tails):
     """Compare side lhs with side rhs on every labeled graph with n <= n_max,
-    yielding a head per tail of tails(k_max) and both sides' values for it.
+    yielding a head per tail of tails(k_max) and its comparisons.
 
     Every side sums over all vertex tuples or permutations, so its values
     depend only on the graph's isomorphism class: each side answers every
     tail for a class of graph.graph_classes from one call on the class's
     smallest-mask graph, and is called once per (class, k_max) in the run's
     memo, keyed on (side, (n, representative mask), k_max), so that claims
-    which share a side share its values.  Every labeled graph then gets its
-    class's values, in ascending mask order, which is graph6 order, its
+    which share a side share its values.  Each (class, tail) is decided by
+    one _compare call, and every labeled graph of the class gets that one
+    comparisons tuple, in ascending mask order, which is graph6 order, its
     graph6 spelled from its mask, then tails in their canonical order, so
     heads come in canonical order.
     """
@@ -296,15 +321,16 @@ def _graph_walker(lhs, rhs, tails=_k_tails):
         tail_list = tails(k_max)
         for n in range(1, budget.n_max + 1):
             class_of, reps = graph_classes(n)
-            rows = []  # per class, (tail, lhs values, rhs values) per tail
+            rows = []  # per class, (tail, comparisons) per tail
             for rep in reps:
                 g = graph_from_mask(n, rep)
-                rows.append(list(zip(tail_list, _side_values(memo, lhs, (n, rep), g, k_max),
-                                     _side_values(memo, rhs, (n, rep), g, k_max))))
+                lvs = _side_values(memo, lhs, (n, rep), g, k_max)
+                rvs = _side_values(memo, rhs, (n, rep), g, k_max)
+                rows.append([(tail, _compare(lv, rv)) for tail, lv, rv in zip(tail_list, lvs, rvs)])
             for mask, c in enumerate(class_of):
                 prefix = f"n={n:02d}/g={graph6_from_mask(n, mask)}/"
-                for tail, lv, rv in rows[c]:
-                    yield prefix + tail, lv, rv
+                for tail, comps in rows[c]:
+                    yield prefix + tail, comps
 
     return walk
 
@@ -327,7 +353,7 @@ class ClaimSpec:
 
     defaults: tuple[int, int]
     guard: tuple[int, int]
-    walk: Callable[[Budget, dict], Iterator[tuple[str, Sequence, Sequence]]]
+    walk: Callable[[Budget, dict], Iterator[tuple[str, tuple[tuple, ...]]]]
 
 
 _SPECS: dict[ClaimId, ClaimSpec] = {
@@ -363,21 +389,24 @@ def resolve_budget(claim: ClaimId, budget: Budget | None = None) -> Budget:
     return replace(budget, n_max=n_max, k_max=k_max)
 
 
+def _heads(claim: ClaimId, budget: Budget, memo: dict) -> Iterator[_Head]:
+    """(claim, head, comparisons) per instance head of claim at a resolved
+    budget, in the canonical order the walker emits.  memo is the run's side
+    memo, which the graph walker fills (_graph_walker)."""
+    for head, comps in _SPECS[claim].walk(budget, memo):
+        yield claim, head, comps
+
+
 def _records(claim: ClaimId, budget: Budget, memo: dict) -> Iterator[VerificationRecord]:
     """The records of claim at a resolved budget, in the canonical order the
-    walker emits: the one place where compared values become records.  memo
-    is the run's side memo, which the graph walker fills (_graph_walker).
-
-    A head gets one record per value of its longer side, paired as _pairing
-    says: a gmode's value goes with every options entry of its gmode, as
-    OPTIONS_MATRIX is gmode-major, and a lone value with every variant.  Each
-    record is made by tuple.__new__ in place, with no Python frame per record.
-    """
+    walker emits, one per comparison of each head: the one place where a
+    walk's comparisons become records, for the callers that hold them.  Each
+    record is made by tuple.__new__ in place, with no Python frame per
+    record."""
     new = tuple.__new__
-    for head, lv, rv in _SPECS[claim].walk(budget, memo):
-        for variant, i, j in _pairing(len(lv), len(rv)):
-            l, r = lv[i], rv[j]
-            yield new(VerificationRecord, (claim, head, l, r, "match" if l == r else "mismatch", variant))
+    for head, comps in _SPECS[claim].walk(budget, memo):
+        for variant, l, r, verdict, _, _ in comps:
+            yield new(VerificationRecord, (claim, head, l, r, verdict, variant))
 
 
 def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
@@ -400,41 +429,54 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
 
 # -- report assembly and serialization ---------------------------------------
 
-def _tallied(records: Iterable[VerificationRecord], report: VerificationReport) -> Iterator[VerificationRecord]:
-    """Pass records through, each first counted into report's summary,
-    options_summary and first_counterexample.
+def _heads_of(records: Iterable[VerificationRecord]) -> Iterator[_Head]:
+    """The records as heads: (claim, head, comparisons) per run of records
+    that share claim and head, each comparison spelled as _compare spells
+    one, with the record's own verdict."""
+    for (claim, head), run in groupby(records, key=lambda r: (r[0], r[1])):
+        yield claim, head, tuple((r.variant, r.lhs, r.rhs, r.verdict, str(r.lhs), str(r.rhs)) for r in run)
 
-    The first record out of canonical order raises ValueError before it is
-    counted: claim values rise strictly run by run, and (head, variant),
-    ordered as the instance is since no head is a proper prefix of another,
-    never falls in a run."""
+
+def _out_of_order(claim: ClaimId, head: str, variant: str) -> ValueError:
+    inst = f"{head}/{variant}" if variant else head
+    return ValueError(f"records out of canonical order at {claim.value} {inst}")
+
+
+def _tally(heads: Iterable[_Head], report: VerificationReport, last: _Head | None = None) -> None:
+    """Count the comparisons of heads into report's summary, options_summary
+    and first_counterexample; last is the head just before them, if any.
+
+    The first record out of canonical order raises ValueError: claim values
+    rise strictly run by run, heads rise strictly within a claim's run, and
+    variants never fall within a head.  So (head, variant), ordered as the
+    instance is since no head is a proper prefix of another, never falls in
+    a run; equal records in a row are one head whose variants repeat."""
     summary, options_summary, first_cx = report.summary, report.options_summary, report.first_counterexample
-    claim, name, tally, last_head, last_variant = None, "", None, "", ""
-    for r in records:
-        c, head, _, _, verdict, variant = r
+    claim, last_head = last[:2] if last else (None, "")
+    name = claim.value if claim else ""
+    tally = summary.get(name)
+    for c, head, comps in heads:
         if c is not claim:
             if c.value <= name:
-                break
+                raise _out_of_order(c, head, comps[0][0])
             claim, name = c, c.value
             tally = summary[name] = {"match": 0, "mismatch": 0}
-        elif head <= last_head and (head < last_head or variant < last_variant):
-            break
-        last_head, last_variant = head, variant
-        tally[verdict] += 1
-        if verdict == "mismatch" and name not in first_cx:
-            first_cx[name] = f"{head}/{variant}" if variant else head
-        if variant:
-            ot = options_summary.get(variant) or options_summary.setdefault(
-                variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
-            ot[verdict] += 1
-            if verdict == "mismatch" and ot["first_counterexample"] is None:
-                ot["first_counterexample"] = f"{head}/{variant}"
-        yield r
-    else:
-        return
-    # the loop broke at the first record out of order
-    inst = f"{head}/{variant}" if variant else head
-    raise ValueError(f"records out of canonical order at {c.value} {inst}")
+        elif head <= last_head:
+            raise _out_of_order(c, head, comps[0][0])
+        last_head, last_variant = head, ""
+        for variant, _, _, verdict, _, _ in comps:
+            if variant < last_variant:
+                raise _out_of_order(c, head, variant)
+            last_variant = variant
+            tally[verdict] += 1
+            if verdict == "mismatch" and name not in first_cx:
+                first_cx[name] = f"{head}/{variant}" if variant else head
+            if variant:
+                ot = options_summary.get(variant) or options_summary.setdefault(
+                    variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+                ot[verdict] += 1
+                if verdict == "mismatch" and ot["first_counterexample"] is None:
+                    ot["first_counterexample"] = f"{head}/{variant}"
 
 
 def build_report(
@@ -443,12 +485,13 @@ def build_report(
 ) -> VerificationReport:
     """Tally a list of records per claim and per variant; the report keeps the list.
 
-    Records out of canonical order raise ValueError, as _tallied says."""
+    The records are grouped into heads (_heads_of) and counted by _tally, the
+    writer's tally; records out of canonical order raise ValueError, as
+    _tally says."""
     if not isinstance(records, list):
         raise TypeError(f"build_report takes a list of records, got {type(records).__name__}")
     report = VerificationReport(__version__, tuple(options_matrix), records, {}, {}, {})
-    for _ in _tallied(records, report):
-        pass
+    _tally(_heads_of(records), report)
     return report
 
 
@@ -468,10 +511,12 @@ def report_from_json(text: str) -> VerificationReport:
 #
 # A report is a head, its records' rows and a tail.  The head and the tail
 # read only the report's tallies, so the writer tallies and spells each chunk
-# of _CHUNK records as the walk makes them and spills the rows to a temporary
-# file, holding one chunk of records at a time: `kmatch search --nmax 5
-# --kmax 3` peaked at 16.9 MB of RSS with 128, 17.0 MB with 256 and 18.1 MB
-# with 2048 (Python 3.11), at the same speed
+# of _CHUNK heads as the walk yields them and spills the rows to a temporary
+# file, holding one chunk of heads at a time: `kmatch search --nmax 5
+# --kmax 3` (3,297 heads of 4 records) peaked at 16.2-16.3 MB of RSS with
+# 32, 16.3-16.4 MB with 128, 17.0 MB with 512 and 18.6 MB with 2048
+# (Python 3.11), and its write_claims took 17.8, 15.7 and 16.7 ms (min of
+# 30) with 32, 128 and 512
 _CHUNK = 128
 
 
@@ -487,15 +532,23 @@ def _json_head(report: VerificationReport) -> str:
             f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
 
 
-def _json_rows(records: Sequence[VerificationRecord]) -> str:
-    """The records' JSON objects, comma-separated."""
-    rows, claim = [], None
-    for c, head, lhs, rhs, verdict, variant in records:
-        if c is not claim:  # one .value per run of a claim, not per record
+def _json_rows(heads: Iterable[_Head]) -> str:
+    """The heads' records as JSON objects, comma-separated: each head's
+    instance quoted once, up to its variant, and each value spelled as its
+    comparison spells it."""
+    rows, claim, ends, verdicts = [], None, {}, {}
+    for c, head, comps in heads:
+        if c is not claim:  # one .value per run of a claim, not per head
             claim, name = c, _quote(c.value)
-        inst = f"{head}/{variant}" if variant else head
-        rows.append(f'{{"claim":{name},"instance":{_quote(inst)},"lhs":"{lhs}",'
-                    f'"rhs":"{rhs}","verdict":{_quote(verdict)}}}')
+        inst = _quote(head)[:-1]  # open: each variant's end closes it
+        for variant, _, _, verdict, lhs, rhs in comps:
+            end = ends.get(variant)
+            if end is None:
+                end = ends[variant] = _quote("/" + variant)[1:] if variant else '"'
+            quoted = verdicts.get(verdict)
+            if quoted is None:
+                quoted = verdicts[verdict] = _quote(verdict)
+            rows.append(f'{{"claim":{name},"instance":{inst}{end},"lhs":"{lhs}","rhs":"{rhs}","verdict":{quoted}}}')
     return ",".join(rows)
 
 
@@ -503,12 +556,13 @@ def _json_tail(report: VerificationReport) -> str:
     return f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n'
 
 
-def _csv_rows(records: Sequence[VerificationRecord]) -> str:
+def _csv_rows(heads: Iterable[_Head]) -> str:
     import csv
 
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows((r.claim.value, r.instance, r.lhs, r.rhs, r.verdict)
-                                                   for r in records)
+    csv.writer(buf, lineterminator="\n").writerows(
+        (c.value, f"{head}/{variant}" if variant else head, lhs, rhs, verdict)
+        for c, head, comps in heads for variant, _, _, verdict, lhs, rhs in comps)
     return buf.getvalue()
 
 
@@ -529,11 +583,13 @@ def _text_head(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_rows(records: Sequence[VerificationRecord]) -> str:
-    return "".join(f"  {r.claim.value} {r.instance} lhs={r.lhs} rhs={r.rhs} {r.verdict}\n" for r in records)
+def _text_rows(heads: Iterable[_Head]) -> str:
+    return "".join(f"  {c.value} {head}{'/' if variant else ''}{variant} lhs={lhs} rhs={rhs} {verdict}\n"
+                   for c, head, comps in heads for variant, _, _, verdict, lhs, rhs in comps)
 
 
-# per format: (head, rows of a chunk, the text between two chunks' rows, tail)
+# per format: (the report's head, rows of a chunk of heads, the text between
+# two chunks' rows, tail)
 _FORMATS = {
     "json": (_json_head, _json_rows, ",", _json_tail),
     "csv": (lambda report: "claim,instance,lhs,rhs,verdict\n", _csv_rows, "", lambda report: ""),
@@ -543,8 +599,10 @@ REPORT_FORMATS = tuple(_FORMATS)
 
 
 def report_to_json(report: VerificationReport) -> str:
-    """The JSON bytes of a held report, from the writer's own spellers."""
-    return _json_head(report) + _json_rows(report.records) + _json_tail(report)
+    """The JSON bytes of a held report, from the writer's own spellers: its
+    records grouped into heads (_heads_of), its head and tail from its
+    tallies."""
+    return _json_head(report) + _json_rows(_heads_of(report.records)) + _json_tail(report)
 
 
 def write_claims(claims: Iterable[ClaimId], budget: Budget, format: str,
@@ -555,42 +613,50 @@ def write_claims(claims: Iterable[ClaimId], budget: Budget, format: str,
 
     The format and every claim's guard are checked before any work.  The
     claims share one side memo for the run, so a side that two claims read
-    runs once per class and k_max.  Only the spelled rows of the records are
-    kept, in the spill (_write_records).
+    runs once per class and k_max.  No record is made: the writer takes the
+    claims' heads and keeps only their spelled rows, in the spill
+    (_write_heads).
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
     claims = sorted(claims, key=lambda c: c.value)
     budgets = [resolve_budget(claim, budget) for claim in claims]
     memo: dict = {}
-    _write_records(chain.from_iterable(_records(c, b, memo) for c, b in zip(claims, budgets)), format, open_out)
+    _write_heads(chain.from_iterable(_heads(c, b, memo) for c, b in zip(claims, budgets)), format, open_out)
 
 
 def _write_records(records: Iterable[VerificationRecord], format: str,
                    open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
-    """Write the report of records, in canonical order, holding one chunk of
-    them at a time.
+    """Write the report of records, in canonical order, under OPTIONS_MATRIX:
+    the records grouped into heads (_heads_of) and written by _write_heads."""
+    _write_heads(_heads_of(records), format, open_out)
 
-    The records are tallied into a report with no records as they pass,
-    and each chunk of _CHUNK of them spilled as rows to an unnamed
-    temporary file.  The head needs every tally, so open_out is
-    called only after the walk, for every format: a walk that fails, or
-    records out of order, open nothing.  Then the head, the spill and the
-    tail are written.
+
+def _write_heads(heads: Iterable[_Head], format: str,
+                 open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
+    """Write the report of heads, in canonical order, holding one chunk of
+    _CHUNK of them at a time.
+
+    Each chunk is counted by one _tally call into a report with no records,
+    then spilled as rows to an unnamed temporary file.  The report's head
+    needs every tally, so open_out is called only after the walk, for every
+    format: a walk that fails, or records out of order, open nothing.  Then
+    the report's head, the spill and the tail are written.
     """
     import tempfile
 
-    head, rows, sep, tail = _FORMATS[format]
+    top, rows, sep, tail = _FORMATS[format]
     report = VerificationReport(__version__, OPTIONS_MATRIX, [], {}, {}, {})
-    records = _tallied(records, report)
+    heads = iter(heads)
     with tempfile.TemporaryFile("w+", encoding="ascii") as spill:
-        between = ""
-        while chunk := list(islice(records, _CHUNK)):
+        between, last = "", None
+        while chunk := list(islice(heads, _CHUNK)):
+            _tally(chunk, report, last)
             spill.write(between + rows(chunk))
-            between = sep
+            between, last = sep, chunk[-1]
         spill.seek(0)
         with open_out() as out:
-            out.write(head(report))
+            out.write(top(report))
             while text := spill.read(1 << 16):
                 out.write(text)
             out.write(tail(report))

@@ -20,7 +20,7 @@ from kmatchlab import cli, harness
 from kmatchlab.coeffs import GMODES
 from kmatchlab.errors import CapacityError
 from kmatchlab.fastcount import FastCountOptions, fast_count
-from kmatchlab.graph import from_edge_list, graph_classes, graph_from_mask, parse_graph6
+from kmatchlab.graph import from_edge_list, graph6_from_mask, graph_classes, graph_from_mask, parse_graph6
 from kmatchlab.harness import (
     OPTIONS_MATRIX,
     Budget,
@@ -241,7 +241,8 @@ def _search(n_max, k_max, open_out):
 
 def test_streamed_search_holds_one_chunk_of_records(tmp_path):
     # the 13,188 records of (5, 3) take about 1.7 MB held in a list; the
-    # stream holds one chunk of them and peaked at 0.28-0.34 MB (Python 3.11)
+    # stream makes none, holds one chunk of heads and peaked at 0.35 MB
+    # (Python 3.11)
     sink = _HashSink()
     _search(5, 3, lambda: nullcontext(sink))  # fills the caches
     assert sink.sha.hexdigest() == SEARCH_DIGESTS[1][2]
@@ -249,7 +250,7 @@ def test_streamed_search_holds_one_chunk_of_records(tmp_path):
     assert _traced_peak(lambda: _search(5, 3, lambda: nullcontext(_HashSink()))) < bound
     assert _traced_peak(lambda: report_to_json(discrepancy_search(5, 3))) > bound
     # `kmatch verify` writes through the same stream, in every format: it
-    # peaked at 0.36-0.43 MB, and at 1.7-1.8 MB when it held its records
+    # peaked at 0.36-0.52 MB, and at 1.7-1.8 MB when it held its records
     for format in ("json", "csv", "text"):
         argv = ["verify", "--claim", "END_TO_END", "--nmax", "5", "--kmax", "3", "--format", format,
                 "--out", str(tmp_path / f"rep.{format}")]
@@ -257,10 +258,10 @@ def test_streamed_search_holds_one_chunk_of_records(tmp_path):
 
 
 def test_tallies_resume_across_chunks(monkeypatch):
-    # chunks of 1, 3 and 7 records fall inside the 4 variants of a head; the
+    # chunks of 1, 3 and 7 heads, the last chunk of 7 a short one; the
     # writer's tallies and bytes, in every format, are those of the whole list
     recs = verify_claim(ClaimId.END_TO_END, Budget(4, 2))
-    assert len(recs) % 7 and len({r.head for r in recs[:7]}) == 2
+    assert len({r.head for r in recs}) % 7
     rep = build_report(recs, OPTIONS_MATRIX)
     want = {format: _written(rep, format) for format in ("json", "csv", "text")}
     assert hashlib.sha256(want["json"].encode("ascii")).hexdigest() == SEARCH_DIGESTS[0][2]
@@ -476,6 +477,32 @@ def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, clai
     assert seen[lhs] == seen[rhs] == reps
 
 
+def test_graph_walker_decides_each_class_once_per_tail(monkeypatch):
+    # the END_TO_END walk at (5, 3) decides each (class, k) once, 52 classes
+    # times 3 k, however many labeled graphs and records it has, and every
+    # labeled graph of a class gets that one comparisons tuple
+    compare, calls = harness._compare, []
+
+    def counted(lv, rv):
+        calls.append((lv, rv))
+        return compare(lv, rv)
+
+    monkeypatch.setattr(harness, "_compare", counted)
+    budget = Budget(n_max=5, k_max=3)
+    assert len(verify_claim(ClaimId.END_TO_END, budget)) == 13_188
+    assert len(calls) == 156 == len(_class_reps(5)) * 3
+    heads = harness._SPECS[ClaimId.END_TO_END].walk(budget, {})
+    seen = {}
+    for n in range(1, 6):
+        for mask, c in enumerate(graph_classes(n)[0]):
+            for k in range(1, 4):
+                head, comps = next(heads)
+                assert head == f"n={n:02d}/g={graph6_from_mask(n, mask)}/k={k:02d}"
+                assert seen.setdefault((n, c, k), comps) is comps, head
+    assert next(heads, None) is None
+    assert len(seen) == 156 and len(calls) == 2 * 156
+
+
 # per graph claim, its (lhs, rhs) referees as (name in harness, what each reads
 # besides (graph, k)): nothing, the gmode or the full options
 _CHAIN_SIDES = {
@@ -615,10 +642,10 @@ def test_json_round_trip_across_claims(verify_all_report):
     ("json", report_to_json), ("csv", report_to_csv), ("text", report_to_text),
 ])
 def test_every_sink_gets_the_formatter_bytes(verify_all_report, tmp_path, capsys, format, formatter):
-    # the report spans several chunks of records; a string, the CLI's --out
+    # the report spans several chunks of heads; a string, the CLI's --out
     # file and its stdout are three sinks of one writer
     want = formatter(verify_all_report)
-    assert len(verify_all_report.records) > 2 * harness._CHUNK
+    assert len({(r.claim, r.head) for r in verify_all_report.records}) > 2 * harness._CHUNK
     path = tmp_path / f"rep.{format}"
     argv = ["verify", "--claim", "all", "--format", format]
     assert cli.main(argv + ["--out", str(path)]) == 0
