@@ -33,8 +33,8 @@ variant ("", gmode=X or gmode=X/index=Y, also the options_summary key),
 the values as the referees return them, int or Fraction, and their
 spellings.  A head, (claim, instance head, comparisons), is the unit the
 report writer tallies and spells.  Records are structured: claim, head,
-lhs, rhs, verdict and variant, one per comparison, made by _records only
-where a caller holds them.  The instance key is head/variant.
+lhs, rhs, verdict and variant, one per comparison, made only by
+verify_claim.  The instance key is head/variant.
 
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
 rounded or tolerated.  Reports are canonical: records in (claim, instance
@@ -49,9 +49,10 @@ records: it takes the walk's heads a chunk at a time, counts each chunk
 into the tallies of a report with no records in one call of _tally,
 spells it in the chosen format, spills it to a temporary file, and only
 once the walk is done opens the output and writes the head, the spill and
-the tail.  discrepancy_search, build_report and report_to_json are the
-in-memory forms, which hold every record; they, and _write_records, group
-their records into heads (_heads_of) for the same tally and spellers.
+the tail.  Only write_claims and verify_claim read a claim's walk.
+discrepancy_search, build_report and report_to_json are the in-memory
+forms, which hold every record; the last two group them into heads
+(_heads_of) for the same tally and spellers.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import chain, groupby, islice, product
+from itertools import groupby, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -198,7 +199,7 @@ def _gprime_sums(k: int, s: int) -> list[int]:
 _LEMMA4_VECTOR_K = 4
 
 
-def _records_lemma4(budget, _memo):
+def _lemma4_walker(budget, _memo):
     # the scalar half, every k <= k_max: the g'-power expansion at each gmode
     # vs the falling factorial
     for k in range(2, budget.k_max + 1):
@@ -224,7 +225,7 @@ def _lemma6_expansion(X, ftab) -> int:
     return total
 
 
-def _records_lemma6(budget, _memo):
+def _lemma6_walker(budget, _memo):
     seed = budget.seed
     for m in range(2, budget.k_max + 1):
         ftab = compute_f(m)
@@ -360,8 +361,8 @@ _SPECS: dict[ClaimId, ClaimSpec] = {
     ClaimId.LEMMA2: ClaimSpec((6, 2), (MAX_INJECT_N, 99), _pair_walker(
         lambda x: sum(v * v for v in x), True)),
     ClaimId.LEMMA3: ClaimSpec((6, 2), (MAX_INJECT_N, 99), _pair_walker(sum, False)),
-    ClaimId.LEMMA4: ClaimSpec((8, 6), (MAX_INJECT_N, 8), _records_lemma4),
-    ClaimId.LEMMA6: ClaimSpec((6, 4), (MAX_INJECT_N, 6), _records_lemma6),
+    ClaimId.LEMMA4: ClaimSpec((8, 6), (MAX_INJECT_N, 8), _lemma4_walker),
+    ClaimId.LEMMA6: ClaimSpec((6, 4), (MAX_INJECT_N, 6), _lemma6_walker),
     ClaimId.LEMMA1_VS_ORACLE: ClaimSpec((4, 2), (MAX_ENUM_N, MAX_MATCH_K), _graph_walker(_lemma1, _oracle)),
     ClaimId.THM1_VS_LEMMA1: ClaimSpec((4, 2), (MAX_ENUM_N, 8), _graph_walker(_thm1, _lemma1)),
     ClaimId.THM2_VS_THM1: ClaimSpec((4, 2), (MAX_THEOREM2_N, 8), _graph_walker(_thm2, _thm1)),
@@ -389,31 +390,15 @@ def resolve_budget(claim: ClaimId, budget: Budget | None = None) -> Budget:
     return replace(budget, n_max=n_max, k_max=k_max)
 
 
-def _heads(claim: ClaimId, budget: Budget, memo: dict) -> Iterator[_Head]:
-    """(claim, head, comparisons) per instance head of claim at a resolved
-    budget, in the canonical order the walker emits.  memo is the run's side
-    memo, which the graph walker fills (_graph_walker)."""
-    for head, comps in _SPECS[claim].walk(budget, memo):
-        yield claim, head, comps
-
-
-def _records(claim: ClaimId, budget: Budget, memo: dict) -> Iterator[VerificationRecord]:
-    """The records of claim at a resolved budget, in the canonical order the
-    walker emits, one per comparison of each head: the one place where a
-    walk's comparisons become records, for the callers that hold them.  Each
-    record is made by tuple.__new__ in place, with no Python frame per
-    record."""
-    new = tuple.__new__
-    for head, comps in _SPECS[claim].walk(budget, memo):
-        for variant, l, r, verdict, _, _ in comps:
-            yield new(VerificationRecord, (claim, head, l, r, verdict, variant))
-
-
 def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[VerificationRecord]:
     """Evaluate both sides of one claim on every instance in the budget, under
     every convention variant it reads, in the canonical order the walker
-    emits; the side memo lives for this call."""
-    return list(_records(claim, resolve_budget(claim, budget), {}))
+    emits, with a side memo for this call: one record per comparison of each
+    head, made by tuple.__new__ in place, with no Python frame per record."""
+    new = tuple.__new__
+    return [new(VerificationRecord, (claim, head, l, r, verdict, variant))
+            for head, comps in _SPECS[claim].walk(resolve_budget(claim, budget), {})
+            for variant, l, r, verdict, _, _ in comps]
 
 
 def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
@@ -430,9 +415,9 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
 # -- report assembly and serialization ---------------------------------------
 
 def _heads_of(records: Iterable[VerificationRecord]) -> Iterator[_Head]:
-    """The records as heads: (claim, head, comparisons) per run of records
-    that share claim and head, each comparison spelled as _compare spells
-    one, with the record's own verdict."""
+    """Held records as heads, for build_report and report_to_json: (claim,
+    head, comparisons) per run of records that share claim and head, each
+    comparison spelled as _compare spells one, with its record's verdict."""
     for (claim, head), run in groupby(records, key=lambda r: (r[0], r[1])):
         yield claim, head, tuple((r.variant, r.lhs, r.rhs, r.verdict, str(r.lhs), str(r.rhs)) for r in run)
 
@@ -613,23 +598,17 @@ def write_claims(claims: Iterable[ClaimId], budget: Budget, format: str,
 
     The format and every claim's guard are checked before any work.  The
     claims share one side memo for the run, so a side that two claims read
-    runs once per class and k_max.  No record is made: the writer takes the
-    claims' heads and keeps only their spelled rows, in the spill
-    (_write_heads).
+    runs once per class and k_max.  No record is made: the writer takes
+    (claim, head, comparisons) for each head of each claim's walk, in report
+    order, and keeps only their spelled rows, in the spill (_write_heads).
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
     claims = sorted(claims, key=lambda c: c.value)
     budgets = [resolve_budget(claim, budget) for claim in claims]
     memo: dict = {}
-    _write_heads(chain.from_iterable(_heads(c, b, memo) for c, b in zip(claims, budgets)), format, open_out)
-
-
-def _write_records(records: Iterable[VerificationRecord], format: str,
-                   open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
-    """Write the report of records, in canonical order, under OPTIONS_MATRIX:
-    the records grouped into heads (_heads_of) and written by _write_heads."""
-    _write_heads(_heads_of(records), format, open_out)
+    _write_heads(((c, head, comps) for c, b in zip(claims, budgets) for head, comps in _SPECS[c].walk(b, memo)),
+                 format, open_out)
 
 
 def _write_heads(heads: Iterable[_Head], format: str,

@@ -6,6 +6,7 @@ closing the pipe early.
 """
 
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -175,6 +176,33 @@ def test_search_stdout_bytes_equal_file_bytes(tmp_path, capsys):
     assert main(["search", "--nmax", "5", "--kmax", "3", "--out", str(out)]) == 0
     assert main(["search", "--nmax", "5", "--kmax", "3"]) == 0
     assert capsys.readouterr().out == out.read_text(encoding="ascii")
+
+
+class _Trickle(io.RawIOBase):
+    """A raw file that takes at most 7 bytes per write, as a pipe may take part of one."""
+
+    def __init__(self):
+        self.received = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        taken = bytes(data[:7])
+        self.received += taken
+        return len(taken)
+
+
+def test_report_to_stdout_survives_partial_raw_writes(tmp_path, monkeypatch):
+    # the layering of `python -u`: the text layer writes straight to the raw
+    # file and silently drops what one raw write does not take
+    raw = _Trickle()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii", write_through=True))
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--claim", "LEMMA3", "--nmax", "2"]
+    assert main(argv) == 0
+    assert main(argv + ["--out", str(out)]) == 0
+    assert bytes(raw.received) == out.read_bytes()
 
 
 # each report command: the search, and verify in each format; CSV has no

@@ -5,6 +5,11 @@ public method of a public class, must be named in code somewhere in
 ``src/kmatchlab`` (its own ``def``/``class`` line and ``__init__.py``'s
 re-exports aside) or in ``bench``.  Names are read as Python tokens, so a
 mention in a comment or a docstring does not count.
+
+Every private module-level function or class must be read somewhere in
+``src/kmatchlab`` itself, so that no entry exists only for tests.  Reads are
+taken from the syntax tree, so a name inside an f-string counts on every
+Python version and a definition's own ``def``/``class`` line does not.
 """
 
 import ast
@@ -54,6 +59,26 @@ def unused_public_names(package: dict[str, str], readers: dict[str, str]) -> lis
     return [where for where, name in defined if name not in named]
 
 
+def _read_names(tree: ast.AST):
+    """Every name the tree reads: names, attribute names and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unread_private_names(package: dict[str, str]) -> list[str]:
+    """Private top-level functions and classes of the package modules that no module reads."""
+    trees = {fname: ast.parse(source) for fname, source in package.items()}
+    read = {name for tree in trees.values() for name in _read_names(tree)}
+    return [f"{fname}:{node.name}" for fname, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in read]
+
+
 def _sources(directory: Path, skip=()) -> dict[str, str]:
     return {p.name: p.read_text() for p in sorted(directory.glob("*.py")) if p.name not in skip}
 
@@ -79,3 +104,24 @@ def test_unused_public_names_flags_only_unread_names():
     # a reader outside the package counts, a comment or a string does not
     readers = {"bench/x.py": "from a import unused\n# Box.unread\nname = 'unread'\n"}
     assert unused_public_names(package, readers) == ["a.py:Box.unread"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    assert unread_private_names(_sources(ROOT / "src" / "kmatchlab")) == []
+
+
+def test_unread_private_names_reads_code_only():
+    package = {
+        "a.py": (
+            "from b import _imported\n\n\n"
+            "def _in_fstring(x):\n    return x\n\n\n"
+            "def _by_attribute():\n    return 0\n\n\n"
+            "def _in_docstring():\n    '''_in_comment() is not a read'''\n\n\n"
+            "def _in_comment():\n    # _in_docstring()\n    return f'{_in_fstring(1)}'\n\n\n"
+            "class _Unread:\n    pass\n"
+        ),
+        "b.py": "import a\n\n\ndef _imported():\n    return a._by_attribute()\n",
+    }
+    # an f-string field, an attribute and an import read a name; a docstring,
+    # a comment and the name's own def line do not
+    assert unread_private_names(package) == ["a.py:_in_docstring", "a.py:_in_comment", "a.py:_Unread"]
