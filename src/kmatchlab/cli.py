@@ -32,7 +32,6 @@ from .oracle import (
     count_rook_placements,
     lemma1_sum,
 )
-from .partitions import by_str
 
 
 def _load_graph(spec: str) -> Graph:
@@ -149,11 +148,10 @@ def _cmd_coeffs(args) -> int:
         row = compute_gprime(args.k, args.gmode)
         _emit_json({"k": args.k, "mode": args.gmode, "g": {str(l): str(v) for l, v in row.items()}})
         return 0
-    # the bytes of _emit_json({"m": m, "f": {partition_str(pi): str(v), ...}}),
-    # written a chunk of entries at a time, so the report's text is never whole;
-    # by_str's string order is the key order of sorted JSON
-    f = compute_f(args.k)
-    entries = (f'"{key}":"{f[pi]}"' for key, pi in by_str(f))
+    # the bytes of _emit_json({"m": m, "f": {text: str(f), ...}}), written a
+    # chunk of entries at a time, so the report's text is never whole; the
+    # walk's text order is the key order of sorted JSON
+    entries = (f'"{text}":"{fv}"' for text, _, fv in compute_f(args.k))
     _write_stdout('{"f":{')
     sep = ""
     while chunk := list(islice(entries, _F_CHUNK)):

@@ -1,9 +1,10 @@
 """Integer coefficient tables used by the fast counting formula.
 
-Each table is one read-only mapping per level, built by its defining
-recursion.  Only F levels and g' rows up to ``MAX_FAST_K`` are cached, and
-returned as the cached mapping itself; an f level, or a g' row above
-``MAX_FAST_K``, is rebuilt on each call, holding only the level before it:
+Each table is built by its defining recursion.  g' rows and F levels are
+read-only mappings; only F levels and g' rows up to ``MAX_FAST_K`` are
+cached, and returned as the cached mapping itself, while a g' row above
+``MAX_FAST_K`` is rebuilt on each call, holding only the row before it.
+The f weights are never stored: each call walks them anew.
 
 * ``compute_gprime(k, mode)`` - row k of the g' table, l -> g'_k(l) for
   1 <= l <= k, defined by a first-order recursion in k.  The k=2 base row
@@ -14,15 +15,16 @@ returned as the cached mapping itself; an f level, or a g' row above
   forward from the highest cached row, up to ``MAX_GPRIME_K``, checked
   before any row is built.
 
-* ``compute_f(m)`` - an integer weight per set partition of {1..m}, keyed in
-  RGS order: the keys are the enumeration of set partitions.  It is defined
-  by deleting the largest element: a singleton {m} is dropped at no cost,
-  while removing m from a larger block B multiplies by -(|B|-1).  Like F
-  below, it is evaluated forward: each f of level m-1 is pushed to the
-  partitions ``partitions.grow`` makes from it, unchanged when m is a new
-  singleton and times -c when m joins a block of size c.  Level m has B_m
-  entries; it serves the literal referees, THM4 and ``kmatch coeffs --what
-  f``, bounded by ``partitions.MAX_ENUM_M`` before any level is built.
+* ``compute_f(m)`` - an integer weight per set partition of {1..m}, walked
+  anew on each call as ``(text, pi, f(pi))`` in ascending order of the text
+  ``{1,3|2}``.  f is defined by deleting the largest element: a singleton
+  {m} is dropped at no cost, while removing m from a larger block B
+  multiplies by -(|B|-1).  Deleting every element in turn, f(pi) is the
+  product over each j of -(the number of smaller elements in j's block),
+  or 1 when j is the smallest in its block; the walk multiplies exactly
+  these factors, in text order.  Level m has B_m partitions; it serves the
+  literal referees, THM4 and ``kmatch coeffs --what f``, bounded by
+  ``partitions.MAX_ENUM_M`` on the call, before anything is walked.
 
 * ``compute_f_types(m)`` - F on the integer partitions of m: F(lam) is the
   sum of f over the set partitions of {1..m} whose block sizes form lam.
@@ -36,10 +38,10 @@ cross-checks in the test suite, never as the source of values.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import CapacityError
-from .partitions import MAX_ENUM_M, Partition, grow
+from .partitions import MAX_ENUM_M, Partition
 
 # alphabetical, which is report order: walkers emit gmode variants in it
 GMODES = ("corrected", "paper")
@@ -85,16 +87,37 @@ def compute_gprime(k: int, mode: str = "corrected") -> Mapping[int, int]:
     return prev
 
 
-def compute_f(m: int) -> Mapping[Partition, int]:
-    """f(pi) for every partition pi of {1..m}, in RGS order, read-only, built anew."""
+def compute_f(m: int) -> Iterator[tuple[str, Partition, int]]:
+    """(text, pi, f(pi)) for every partition pi of {1..m}, in ascending text
+    order, walked anew; m is checked on the call, before anything is walked."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if m > MAX_ENUM_M:
         raise CapacityError(f"f table for m={m} exceeds partition bound {MAX_ENUM_M}")
-    f: dict[Partition, int] = {((1,),): 1}
-    for level in range(2, m + 1):
-        f = {child: -c * fv if c else fv for pi, fv in f.items() for child, c in grow(pi, level)}
-    return MappingProxyType(f)
+    return _f_walk(m)
+
+
+def _f_walk(m: int) -> Iterator[tuple[str, Partition, int]]:
+    # depth first over text prefixes: (text, closed blocks, open block, the
+    # unused elements in str order, f so far).  A prefix goes on with ",j"
+    # for each unused j above the open block's last element, in str order,
+    # then with "|" and the smallest unused element, or ends with "}".
+    # "," < "|" < "}", and no j's string is a prefix of another's for
+    # 2 <= j <= 19, so that is text order; the stack is last in, first out,
+    # so each prefix's children are pushed in reverse
+    stack = [("{1", (), (1,), tuple(sorted(range(2, m + 1), key=str)), 1)]
+    while stack:
+        text, closed, block, rest, fv = stack.pop()
+        if not rest:
+            yield text + "}", closed + (block,), fv
+            continue
+        i = rest.index(min(rest))
+        stack.append((f"{text}|{rest[i]}", closed + (block,), (rest[i],), rest[:i] + rest[i + 1 :], fv))
+        # j joins a block of len(block) smaller elements
+        c = -len(block) * fv
+        for i in reversed(range(len(rest))):
+            if rest[i] > block[-1]:
+                stack.append((f"{text},{rest[i]}", closed, block + (rest[i],), rest[:i] + rest[i + 1 :], c))
 
 
 # level m maps each block-size type of {1..m} (parts in non-increasing

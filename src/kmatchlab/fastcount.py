@@ -173,10 +173,11 @@ def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fr
     """The partition-expanded form before the summation interchange, literal.
 
     For each l, s_l sums f(pi) * partition_sum(g, pi) over the partitions
-    pi of the ground set, m = l (corrected) or m = k (paper): every
-    j-tuple in {1..n}^m and every p-tuple in {1..n}^|pi| is enumerated,
-    once per call for each distinct m, so the paper convention's one
-    ground set is summed once, not once per l.
+    pi of the ground set, m = l (corrected) or m = k (paper), as one f walk
+    yields them: every j-tuple in {1..n}^m and every p-tuple in
+    {1..n}^|pi| is enumerated, once per call for each distinct m, so the
+    paper convention's one ground set is walked and summed once, not once
+    per l.
     """
     if options is None:
         options = FastCountOptions()
@@ -193,6 +194,6 @@ def lemma7_eval(g: Graph, k: int, options: FastCountOptions | None = None) -> Fr
     for l in range(1, k + 1):
         m = k if options.index_convention == "paper" else l
         if m not in sums:
-            sums[m] = sum(fv * partition_sum(g, pi) for pi, fv in compute_f(m).items())
+            sums[m] = sum(fv * partition_sum(g, pi) for _, pi, fv in compute_f(m))
         total += factorial(n - l) * gp[l] * sums[m]
     return Fraction(total, factorial(k) * factorial(n - k) * 2**k)

@@ -79,7 +79,7 @@ from .fastcount import (INDEX_CONVENTIONS, MAX_LEMMA7_N, FastCountOptions, fast_
 from .graph import MAX_ENUM_N, graph6_from_mask, graph_classes, graph_from_mask
 from .oracle import (MAX_INJECT_N, MAX_MATCH_K, MAX_THEOREM2_N, injection_sum, lemma1_sum, matching_counts,
                      theorem1_eval, theorem2_eval)
-from .partitions import Partition, by_str
+from .partitions import Partition
 
 
 class ClaimId(Enum):
@@ -217,7 +217,7 @@ def _lemma4_walker(budget, _memo):
 def _lemma6_expansion(X, ftab) -> int:
     n = len(X[0])
     total = 0
-    for pi, val in ftab.items():
+    for pi, val in ftab:
         # the j-tuple sum splits into one independent factor per block
         for b in pi:
             val *= sum(prod(X[i - 1][j] for i in b) for j in range(n))
@@ -228,7 +228,7 @@ def _lemma6_expansion(X, ftab) -> int:
 def _lemma6_walker(budget, _memo):
     seed = budget.seed
     for m in range(2, budget.k_max + 1):
-        ftab = compute_f(m)
+        ftab = [(pi, fv) for _, pi, fv in compute_f(m)]
         for n in range(m, budget.n_max + 1):
             for t in range(TRIALS):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
@@ -249,9 +249,9 @@ def _fast(g, k_max): return [[fast_count(g, k, o).value for o in OPTIONS_MATRIX]
 
 @cache
 def _thm4_partitions(m_max: int) -> tuple[tuple[str, Partition], ...]:
-    """(head tail, pi) per partition pi of {1..m}, m <= m_max, m ascending, then
-    in string order, not the f table's RGS order ({1|2,3|4} before {1,4|2|3})."""
-    return tuple((f"m={m:02d}/pi={s}", pi) for m in range(1, m_max + 1) for s, pi in by_str(compute_f(m)))
+    """(head tail, pi) per partition pi of {1..m}, m <= m_max, m ascending,
+    then in the f walk's text order ({1,4|2|3} before {1|2,3|4})."""
+    return tuple((f"m={m:02d}/pi={text}", pi) for m in range(1, m_max + 1) for text, pi, _ in compute_f(m))
 
 
 # THM4's sides, one value per partition of {1..m}, m <= m_max: the factored

@@ -1,6 +1,12 @@
 """Helpers that only the tests need, so the package does not export them."""
 
+from kmatchlab.coeffs import compute_f
 from kmatchlab.graph import Graph, _check_n, graph6_from_mask, graph_from_mask
+
+
+def f_table(m):
+    """{pi: f(pi)} over the partitions of {1..m}, from one walk of compute_f."""
+    return {pi: fv for _, pi, fv in compute_f(m)}
 
 
 def enumerate_all_graphs(n):

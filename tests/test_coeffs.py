@@ -2,7 +2,8 @@
 
 The g' rows are produced by a recursion; the reference here expands the
 falling-factorial polynomial by direct convolution.  The f values are
-produced by a deletion recursion; the reference here solves for them from
+produced by a walk that multiplies the deletion rule's factors; the
+reference here solves for them from
 scratch as the unique solution of the injective-sum identity on random
 matrices (exact Gaussian elimination), plus a product-form cross-check.
 The type-aggregated F table is checked against sums of the set-level f
@@ -23,6 +24,8 @@ from kmatchlab.errors import CapacityError
 from kmatchlab.exact import falling_factorial
 from kmatchlab.oracle import injection_sum
 from kmatchlab.partitions import MAX_ENUM_M
+
+from helpers import f_table
 
 
 def _falling_poly_coeffs(k):
@@ -134,7 +137,7 @@ def test_gprime_cache_isolation():
 
 def test_f_frozen_values():
     def f(pi):
-        return compute_f(sum(map(len, pi)))[pi]
+        return f_table(sum(map(len, pi)))[pi]
 
     assert f(((1,),)) == 1
     assert f(((1,), (2,))) == 1
@@ -178,8 +181,9 @@ def _solve_exact(rows, rhs):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_f_is_unique_solution_of_identity(m):
-    """Fit f from the identity alone and compare with the recursion's output."""
-    parts = list(compute_f(m))
+    """Fit f from the identity alone and compare with the walk's output."""
+    table = f_table(m)
+    parts = list(table)
     rng = random.Random(f"fit:{m}")
     rows, rhs = [], []
     for _ in range(3 * len(parts) + 10):
@@ -188,34 +192,37 @@ def test_f_is_unique_solution_of_identity(m):
         rows.append([_basis_eval(X, pi) for pi in parts])
         rhs.append(injection_sum(X))
     fitted = _solve_exact(rows, rhs)
-    table = compute_f(m)
     assert fitted == [table[pi] for pi in parts]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_f_product_form_cross_check(m):
-    table = compute_f(m)
-    for pi in table:
-        want = prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in pi)
-        assert table[pi] == want
+    table = f_table(m)
+    for pi, fv in table.items():
+        assert fv == prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in pi)
     one_block = (tuple(range(1, m + 1)),)
     assert table[one_block] == (-1) ** (m - 1) * factorial(m - 1)
 
 
 @pytest.mark.parametrize("m,n", [(5, 5), (5, 6), (6, 6)])
 def test_f_identity_holds_at_larger_m(m, n):
-    table = compute_f(m)
-    parts = list(table)
+    table = f_table(m)
     rng = random.Random(f"ident:{m}:{n}")
     for _ in range(5):
         X = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(m))
-        expansion = sum(table[pi] * _basis_eval(X, pi) for pi in parts)
+        expansion = sum(fv * _basis_eval(X, pi) for pi, fv in table.items())
         assert expansion == injection_sum(X)
 
 
 def test_f_table_scope_and_errors():
-    # one level per call: its keys and their order are checked in
-    # test_partitions.py, which reads them as the enumeration of set partitions
+    # one walk per call, m = 1..MAX_ENUM_M: its partitions and their order are
+    # checked in test_partitions.py
+    assert list(compute_f(1)) == [("{1}", ((1,),), 1)]
+    # the top level, m = 12, is admitted: its first text takes 10, 11 and 12
+    # into the first block ahead of 2, which can then no longer join it
+    first = ("{1,10,11,12|2,3,4,5,6,7,8,9}", ((1, 10, 11, 12), (2, 3, 4, 5, 6, 7, 8, 9)), -6 * -5040)
+    assert next(compute_f(12)) == first
+    assert list(compute_f(2)) == list(compute_f(2)) == [("{1,2}", ((1, 2),), -1), ("{1|2}", ((1,), (2,)), 1)]
     with pytest.raises(ValueError):
         compute_f(0)
     with pytest.raises(CapacityError):
@@ -223,30 +230,31 @@ def test_f_table_scope_and_errors():
 
 
 def test_f_guard_fires_before_any_level(monkeypatch):
+    # the bare call raises: a guard inside the walk would fire only when the
+    # caller first asks for a partition, after it has begun its output
     def no_work(*args, **kwargs):
-        raise AssertionError("a level was built past the guard")
+        raise AssertionError("the walk started past the guard")
 
-    monkeypatch.setattr(coeffs, "grow", no_work)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(coeffs, "_f_walk", no_work)
+    with pytest.raises(CapacityError, match=f"m={MAX_ENUM_M + 1} exceeds"):
         compute_f(MAX_ENUM_M + 1)
+    with pytest.raises(ValueError, match="m must be positive"):
+        compute_f(0)
 
 
 def test_tables_are_read_only():
-    one_block = ((1, 2),)
-    for table, key in [(compute_gprime(3, "paper"), 1), (compute_f(2), one_block), (compute_f_types(2), (2,))]:
+    for table, key in [(compute_gprime(3, "paper"), 1), (compute_f_types(2), (2,))]:
         with pytest.raises(TypeError):
             table[key] = 0
     assert compute_gprime(3, "paper")[1] == -2
-    assert compute_f(2)[one_block] == -1
     assert compute_f_types(2)[(2,)] == -1
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_f_types_sum_set_level_f(m):
-    table = compute_f(m)
     want: Counter = Counter()
-    for pi in table:
-        want[tuple(sorted((len(b) for b in pi), reverse=True))] += table[pi]
+    for _, pi, fv in compute_f(m):
+        want[tuple(sorted((len(b) for b in pi), reverse=True))] += fv
     assert dict(compute_f_types(m)) == dict(want)
 
 

@@ -150,9 +150,9 @@ def test_lemma7_eval_sums_each_ground_set_once_per_call(monkeypatch, opts):
     g, k = generate("complete", 4), 3
     value = lemma7_eval(g, k, opts)
     ms = [k] if opts.index_convention == "paper" else range(1, k + 1)
-    assert sorted(calls) == sorted(pi for m in ms for pi in compute_f(m))
+    assert sorted(calls) == sorted(pi for m in ms for _, pi, _ in compute_f(m))
     gp = compute_gprime(k, opts.gmode)
-    s = {m: sum(fv * partition_sum(g, pi) for pi, fv in compute_f(m).items()) for m in range(1, k + 1)}
+    s = {m: sum(fv * partition_sum(g, pi) for _, pi, fv in compute_f(m)) for m in range(1, k + 1)}
     want = sum(factorial(4 - l) * gp[l] * s[k if opts.index_convention == "paper" else l] for l in range(1, k + 1))
     assert value == Fraction(want, factorial(k) * factorial(4 - k) * 2**k)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from kmatchlab.coeffs import compute_f
 from kmatchlab.errors import CapacityError
 from kmatchlab.harness import Budget, ClaimId, verify_claim
-from kmatchlab.partitions import MAX_ENUM_M, by_str, grow, partition_str
+from kmatchlab.partitions import MAX_ENUM_M
 
 
 def stirling2(m, q):
@@ -29,40 +29,44 @@ def bell(m):
 
 
 def _partitions_by_insertion(m):
-    """Grow partitions by inserting element m everywhere.
+    """(partition, f) pairs of {1..m}, grown by inserting element m everywhere.
 
-    This is the construction ``grow`` uses, so it checks the set of
-    partitions only; their order is checked by reading each one back as its
-    restricted growth string in test_enumeration_order_is_rgs_lex.
+    This is the deletion rule read forward: m joins a block of size c at a
+    factor of -c, or opens a singleton at a factor of 1.  The walk in
+    ``compute_f`` multiplies the same factors in text order instead, so this
+    checks its partitions and its f values; their order is checked by
+    spelling each one in test_walk_yields_each_partition_once_in_string_order.
     """
     if m == 1:
-        return [((1,),)]
+        return [(((1,),), 1)]
     out = []
-    for smaller in _partitions_by_insertion(m - 1):
+    for smaller, fv in _partitions_by_insertion(m - 1):
         for idx in range(len(smaller)):
             blocks = [list(b) for b in smaller]
             blocks[idx].append(m)
-            out.append(tuple(tuple(b) for b in blocks))
-        out.append(smaller + ((m,),))
+            out.append((tuple(tuple(b) for b in blocks), -len(smaller[idx]) * fv))
+        out.append((smaller + ((m,),), fv))
     return out
 
 
-def _oracle_set(m):
-    """The insertion oracle's partitions of {1..m}, each in canonical form."""
+def _oracle(m):
+    """The insertion oracle's {partition: f} of {1..m}, each partition in canonical form."""
     return {
-        tuple(sorted((tuple(sorted(b)) for b in part), key=lambda b: b[0]))
-        for part in _partitions_by_insertion(m)
+        tuple(sorted((tuple(sorted(b)) for b in part), key=lambda b: b[0])): fv
+        for part, fv in _partitions_by_insertion(m)
     }
 
 
-@pytest.mark.parametrize("m", range(1, 8))
+def _spell(pi):
+    """A partition's text, {1,3|2}: blocks split by "|", elements by ","."""
+    return "{" + "|".join(",".join(str(x) for x in b) for b in pi) + "}"
+
+
+@pytest.mark.parametrize("m", range(1, 10))
 def test_enumeration_matches_insertion_oracle(m):
-    oracle = _oracle_set(m)
-    assert set(compute_f(m)) == oracle
-    # no duplicates: the level keeps every partition that grow makes from the
-    # level below, which a repeat would have overwritten
-    made = sum(1 for pi in compute_f(m - 1) for _ in grow(pi, m)) if m > 1 else 1
-    assert len(compute_f(m)) == made == len(oracle)
+    walked = [(pi, fv) for _, pi, fv in compute_f(m)]
+    assert len(dict(walked)) == len(walked)  # no partition twice
+    assert dict(walked) == _oracle(m)
 
 
 @pytest.mark.parametrize("n_max, k_max, graphs, count", [(3, 3, 11, 88), (2, 5, 3, 225)])
@@ -78,43 +82,29 @@ def test_thm4_covers_every_partition(n_max, k_max, graphs, count):
     assert len(heads) == graphs * k_max
     for graph_m, pis in heads.items():
         m = int(graph_m.rsplit("/m=", 1)[1])
-        assert pis == {partition_str(p) for p in _oracle_set(m)}
+        assert pis == set(map(_spell, _oracle(m)))
 
 
-def test_enumeration_order_is_rgs_lex():
-    # for m=3: 000, 001, 010, 011, 012 as block structures
-    got = [partition_str(p) for p in compute_f(3)]
-    assert got == ["{1,2,3}", "{1,2|3}", "{1,3|2}", "{1|2,3}", "{1|2|3}"]
-    # independent of how the partitions are built: read each one back as its
-    # restricted growth string, the block index of each element
-    for m in range(1, 9):
-        rgss = []
-        for p in compute_f(m):
-            assert all(list(b) == sorted(b) for b in p)
-            assert sorted(x for b in p for x in b) == list(range(1, m + 1))
-            rgs = [0] * m
-            for h, b in enumerate(p):
-                for x in b:
-                    rgs[x - 1] = h
-            assert rgs[0] == 0 and all(rgs[i] <= max(rgs[:i]) + 1 for i in range(1, m))
-            rgss.append(rgs)
-        assert all(a < b for a, b in zip(rgss, rgss[1:]))
-        assert len(rgss) == bell(m)
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-def test_by_str_yields_each_partition_once_in_string_order(m):
-    f = compute_f(m)
-    got = list(by_str(f))
-    assert [s for s, _ in got] == sorted(map(partition_str, f))
-    assert [partition_str(pi) for _, pi in got] == [s for s, _ in got]
-    assert sorted(pi for _, pi in got) == sorted(f)
+@pytest.mark.parametrize("m", range(1, 10))
+def test_walk_yields_each_partition_once_in_string_order(m):
+    walked = list(compute_f(m))
+    texts = [text for text, _, _ in walked]
+    assert all(a < b for a, b in zip(texts, texts[1:]))
+    for text, pi, _ in walked:
+        assert text == _spell(pi)
+        # canonical: elements ascend within each block, blocks by their
+        # minimum, and together they cover {1..m}
+        assert all(list(b) == sorted(b) for b in pi)
+        assert [b[0] for b in pi] == sorted(b[0] for b in pi)
+        assert sorted(x for b in pi for x in b) == list(range(1, m + 1))
+    assert len(walked) == bell(m)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_counts_match_stirling_and_bell(m):
-    assert len(compute_f(m)) == bell(m)
-    by_blocks = Counter(len(p) for p in compute_f(m))
+    pis = [pi for _, pi, _ in compute_f(m)]
+    assert len(pis) == bell(m)
+    by_blocks = Counter(map(len, pis))
     assert by_blocks == {q: stirling2(m, q) for q in range(1, m + 1)}
 
 
@@ -135,8 +125,8 @@ def test_stirling_rejects_negative():
 
 
 def test_canonical_form_and_str():
-    assert ((1, 3), (2,), (4, 5)) in set(compute_f(5))
-    assert partition_str(((1, 3), (2,), (4, 5))) == "{1,3|2|4,5}"
+    assert ("{1,3|2|4,5}", ((1, 3), (2,), (4, 5)), 1) in set(compute_f(5))
+    assert [text for text, _, _ in compute_f(3)] == ["{1,2,3}", "{1,2|3}", "{1,3|2}", "{1|2,3}", "{1|2|3}"]
 
 
 def test_enumeration_guards():
@@ -148,5 +138,5 @@ def test_enumeration_guards():
 
 @given(st.integers(min_value=1, max_value=7))
 def test_partitions_are_hashable_keys(m):
-    seen = {p: str(p) for p in compute_f(m)}
+    seen = {p: str(p) for _, p, _ in compute_f(m)}
     assert len(seen) == bell(m)
