@@ -17,24 +17,30 @@ test, rhs = the reference it is supposed to equal):
   END_TO_END         fast_count  vs  matching_counts
 
 Each claim has one ClaimSpec in _SPECS: its default budget, its guard and
-its walker, which yields (head, comparisons) per instance head, the
-comparisons decided by _compare from the head's lhs and rhs values.  The
-seven graph claims share one walker and are each a pair of named sides,
-each called once per isomorphism class of graphs for every head tail of
-k_max, spelled once per walk: one per chain referee (_oracle, _lemma1,
-_thm1, _thm2, _lemma7, _fast) with tails k=KK, and THM4's _products and
-_sums with tails m=MM/pi={...}.  The walker decides each (class, tail)
-once, and every labeled graph of a class gets its class's comparisons.
-The sides' values go in one memo per run, which every claim of the run
-shares, so a side that two claims read runs once per class and k_max.
+its walker, which yields (head, block) per unit of the walk.  A block is a
+tuple of (tail, comparisons) pairs, the comparisons decided by _compare
+from the lhs and rhs values of instance head + tail.  The seven graph
+claims share one walker and are each a pair of named sides, each called
+once per isomorphism class of graphs for every tail of k_max, spelled once
+per walk: one per chain referee (_oracle, _lemma1, _thm1, _thm2, _lemma7,
+_fast) with tails k=KK, and THM4's _products and _sums with tails
+m=MM/pi={...}.  The walker decides each (class, tail) once into one class
+block, and yields each labeled graph of a class, head n=NN/g=G6/, with
+its class's block object.  The other walkers yield each instance head
+with a block of one tail, "".  The sides' values go in one memo per run,
+which every claim of the run shares, so a side that two claims read runs
+once per class and k_max.
 
 A comparison is (variant, lhs, rhs, verdict, str(lhs), str(rhs)): the
 variant ("", gmode=X or gmode=X/index=Y, also the options_summary key),
 the values as the referees return them, int or Fraction, and their
-spellings.  A head, (claim, instance head, comparisons), is the unit the
-report writer tallies and spells.  Records are structured: claim, head,
-lhs, rhs, verdict and variant, one per comparison, made only by
-verify_claim.  The instance key is head/variant.
+spellings.  A unit, (claim, head, block), is what the report writer
+tallies and spells: it derives the block's tally and its row pieces once,
+at the block's first use, and keeps them on the block, so that each
+further labeled graph of the class costs an order check, one use of the
+block and one str.join.  Records are structured: claim, instance head
+(head + tail), lhs, rhs, verdict and variant, one per comparison, made
+only by verify_claim.  The instance key is instance head/variant.
 
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
 rounded or tolerated.  Reports are canonical: records in (claim, instance
@@ -45,14 +51,15 @@ records out of it while it tallies them and sorts nothing.
 
 One writer, write_claims, writes the report of `kmatch verify` and of
 `kmatch search`, which is END_TO_END under its guard.  It makes no
-records: it takes the walk's heads a chunk at a time, counts each chunk
+records: it takes the walk's units a chunk at a time, counts each chunk
 into the tallies of a report with no records in one call of _tally,
 spells it in the chosen format, spills it to a temporary file, and only
 once the walk is done opens the output and writes the head, the spill and
 the tail.  Only write_claims and verify_claim read a claim's walk.
 discrepancy_search, build_report and report_to_json are the in-memory
-forms, which hold every record; the last two group them into heads
-(_heads_of) for the same tally and spellers.
+forms, which hold every record; the last two group them into units
+(_heads_of), each a block of up to _CHUNK instance heads under head "",
+for the same tally and spellers.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from functools import cache
 from itertools import groupby, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._version import __version__
@@ -111,9 +119,26 @@ class VerificationRecord(NamedTuple):
         return f"{self.head}/{self.variant}" if self.variant else self.head
 
 
-# a head: (claim, instance head, comparisons), each comparison (variant,
-# lhs, rhs, verdict, str(lhs), str(rhs)), as _compare makes them
-_Head = tuple[ClaimId, str, tuple[tuple, ...]]
+class _Block(tuple):
+    """A block: the (tail, comparisons) pairs of one unit, tails in canonical
+    order, each comparison (variant, lhs, rhs, verdict, str(lhs), str(rhs))
+    as _compare makes them.  The graph walker yields one block object for
+    every labeled graph of an isomorphism class.
+
+    The report writer keeps what it derives from the block on it: its
+    _BlockTally, and its JSON and text row pieces with the claim they were
+    spelled for."""
+
+    tally = json = text = None
+
+
+def _one_tail(comps: tuple[tuple, ...]) -> _Block:
+    """The block of a head with no tails: comps under tail ""."""
+    return _Block((("", comps),))
+
+
+# a unit: (claim, head, block), whose records have instance heads head + tail
+_Unit = tuple[ClaimId, str, _Block]
 
 
 @dataclass
@@ -155,9 +180,10 @@ def _mat(X: Sequence[Sequence[int]]) -> str:
 #
 # A walker takes a budget, with its n_max and k_max already resolved, and
 # the run's side memo, which only the graph walker reads, and yields
-# (head, _compare(lhs values, rhs values)) per instance head, in canonical
-# head order, each side's values in the report order of the variants it
-# reads: one value, one per gmode of GMODES or one per entry of
+# (head, block) per unit in canonical head order; every walker but the
+# graph walker yields (head, _one_tail(_compare(lhs values, rhs values)))
+# per instance head.  Each side's values come in the report order of the
+# variants it reads: one value, one per gmode of GMODES or one per entry of
 # OPTIONS_MATRIX.  _compare alone pairs values, spells variants and
 # decides verdicts, so no walker knows its claim, a variant's spelling or
 # a verdict, and none sorts.
@@ -183,7 +209,7 @@ def _pair_walker(diagonal: Callable[[Sequence[int]], int], random_trials: bool):
                 xs.append((f"n={n:02d}/seed={budget.seed:03d}/trial={t:02d}/x={_vec(x)}", x))
             xs += [(f"n={n:02d}/x={_vec(x)}", x) for x in product((0, 1), repeat=n)]
             for inst, x in xs:
-                yield inst, _compare([injection_sum((x, x))], [_double_sum(x) - diagonal(x)])
+                yield inst, _one_tail(_compare([injection_sum((x, x))], [_double_sum(x) - diagonal(x)]))
 
     return walk
 
@@ -204,14 +230,15 @@ def _lemma4_walker(budget, _memo):
     # vs the falling factorial
     for k in range(2, budget.k_max + 1):
         for s in range(0, 9):
-            yield f"k={k:02d}/s={s:02d}", _compare(_gprime_sums(k, s), [falling_factorial(s, k)])
+            yield f"k={k:02d}/s={s:02d}", _one_tail(_compare(_gprime_sums(k, s), [falling_factorial(s, k)]))
     # the vector half, k <= _LEMMA4_VECTOR_K: injection_sum on k copies of a
     # 0/1 vector x vs the expansion at s = sum(x)
     kv_max = min(_LEMMA4_VECTOR_K, budget.k_max)
     for n in range(1, budget.n_max + 1):
         for x in product((0, 1), repeat=n):
             for k in range(2, kv_max + 1):
-                yield f"n={n:02d}/x={_vec(x)}/k={k:02d}", _compare([injection_sum((x,) * k)], _gprime_sums(k, sum(x)))
+                comps = _compare([injection_sum((x,) * k)], _gprime_sums(k, sum(x)))
+                yield f"n={n:02d}/x={_vec(x)}/k={k:02d}", _one_tail(comps)
 
 
 def _lemma6_expansion(X, ftab) -> int:
@@ -234,7 +261,7 @@ def _lemma6_walker(budget, _memo):
                 rng = random.Random(f"L6:{seed}:{m}:{n}:{t}")
                 X = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(m))
                 inst = f"m={m:02d}/n={n:02d}/seed={seed:03d}/trial={t:02d}/X={_mat(X)}"
-                yield inst, _compare([_lemma6_expansion(X, ftab)], [injection_sum(X)])
+                yield inst, _one_tail(_compare([_lemma6_expansion(X, ftab)], [injection_sum(X)]))
 
 
 # The chain referees, one side each: side(g, k_max) looks its referee up when
@@ -303,7 +330,8 @@ def _side_values(memo: dict, side, g_key, g, k_max: int):
 
 def _graph_walker(lhs, rhs, tails=_k_tails):
     """Compare side lhs with side rhs on every labeled graph with n <= n_max,
-    yielding a head per tail of tails(k_max) and its comparisons.
+    yielding (head n=NN/g=G6/, its class's block) per graph, the block one
+    (tail, comparisons) pair per tail of tails(k_max).
 
     Every side sums over all vertex tuples or permutations, so its values
     depend only on the graph's isomorphism class: each side answers every
@@ -311,10 +339,10 @@ def _graph_walker(lhs, rhs, tails=_k_tails):
     smallest-mask graph, and is called once per (class, k_max) in the run's
     memo, keyed on (side, (n, representative mask), k_max), so that claims
     which share a side share its values.  Each (class, tail) is decided by
-    one _compare call, and every labeled graph of the class gets that one
-    comparisons tuple, in ascending mask order, which is graph6 order, its
-    graph6 spelled from its mask, then tails in their canonical order, so
-    heads come in canonical order.
+    one _compare call, into one block per class per walk, and every labeled
+    graph of the class gets that one block object, in ascending mask order,
+    which is graph6 order, its graph6 spelled from its mask; tails are in
+    their canonical order, so records come in canonical order.
     """
 
     def walk(budget, memo):
@@ -322,16 +350,14 @@ def _graph_walker(lhs, rhs, tails=_k_tails):
         tail_list = tails(k_max)
         for n in range(1, budget.n_max + 1):
             class_of, reps = graph_classes(n)
-            rows = []  # per class, (tail, comparisons) per tail
+            blocks = []
             for rep in reps:
                 g = graph_from_mask(n, rep)
                 lvs = _side_values(memo, lhs, (n, rep), g, k_max)
                 rvs = _side_values(memo, rhs, (n, rep), g, k_max)
-                rows.append([(tail, _compare(lv, rv)) for tail, lv, rv in zip(tail_list, lvs, rvs)])
+                blocks.append(_Block((tail, _compare(lv, rv)) for tail, lv, rv in zip(tail_list, lvs, rvs)))
             for mask, c in enumerate(class_of):
-                prefix = f"n={n:02d}/g={graph6_from_mask(n, mask)}/"
-                for tail, comps in rows[c]:
-                    yield prefix + tail, comps
+                yield f"n={n:02d}/g={graph6_from_mask(n, mask)}/", blocks[c]
 
     return walk
 
@@ -354,7 +380,7 @@ class ClaimSpec:
 
     defaults: tuple[int, int]
     guard: tuple[int, int]
-    walk: Callable[[Budget, dict], Iterator[tuple[str, tuple[tuple, ...]]]]
+    walk: Callable[[Budget, dict], Iterator[tuple[str, _Block]]]
 
 
 _SPECS: dict[ClaimId, ClaimSpec] = {
@@ -394,11 +420,12 @@ def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[Verificat
     """Evaluate both sides of one claim on every instance in the budget, under
     every convention variant it reads, in the canonical order the walker
     emits, with a side memo for this call: one record per comparison of each
-    head, made by tuple.__new__ in place, with no Python frame per record."""
+    tail of each unit's block, under instance head head + tail, made by
+    tuple.__new__ in place, with no Python frame per record."""
     new = tuple.__new__
-    return [new(VerificationRecord, (claim, head, l, r, verdict, variant))
-            for head, comps in _SPECS[claim].walk(resolve_budget(claim, budget), {})
-            for variant, l, r, verdict, _, _ in comps]
+    return [new(VerificationRecord, (claim, head + tail, l, r, verdict, variant))
+            for head, block in _SPECS[claim].walk(resolve_budget(claim, budget), {})
+            for tail, comps in block for variant, l, r, verdict, _, _ in comps]
 
 
 def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
@@ -414,12 +441,17 @@ def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
 
 # -- report assembly and serialization ---------------------------------------
 
-def _heads_of(records: Iterable[VerificationRecord]) -> Iterator[_Head]:
-    """Held records as heads, for build_report and report_to_json: (claim,
-    head, comparisons) per run of records that share claim and head, each
-    comparison spelled as _compare spells one, with its record's verdict."""
-    for (claim, head), run in groupby(records, key=lambda r: (r[0], r[1])):
-        yield claim, head, tuple((r.variant, r.lhs, r.rhs, r.verdict, str(r.lhs), str(r.rhs)) for r in run)
+def _heads_of(records: Iterable[VerificationRecord]) -> Iterator[_Unit]:
+    """Held records as units, for build_report and report_to_json: per run of
+    records of one claim, (claim, "", block) per _CHUNK instance heads, the
+    block one (instance head, comparisons) pair per run of records that
+    share a head, each comparison spelled as _compare spells one, with its
+    record's verdict.  Its blocks are read once, so each holds many heads."""
+    for claim, run in groupby(records, key=itemgetter(0)):
+        heads = ((head, tuple((r.variant, r.lhs, r.rhs, r.verdict, str(r.lhs), str(r.rhs)) for r in recs))
+                 for head, recs in groupby(run, key=itemgetter(1)))
+        while block := _Block(islice(heads, _CHUNK)):
+            yield claim, "", block
 
 
 def _out_of_order(claim: ClaimId, head: str, variant: str) -> ValueError:
@@ -427,41 +459,111 @@ def _out_of_order(claim: ClaimId, head: str, variant: str) -> ValueError:
     return ValueError(f"records out of canonical order at {claim.value} {inst}")
 
 
-def _tally(heads: Iterable[_Head], report: VerificationReport, last: _Head | None = None) -> None:
-    """Count the comparisons of heads into report's summary, options_summary
-    and first_counterexample; last is the head just before them, if any.
+class _BlockTally:
+    """What one use of a block adds to a report: match and mismatch, its
+    totals; by_variant, (variant, match, mismatch) per variant other than
+    "", in block order; first, the instance suffix (tail, then /variant if
+    any) of its first mismatch, or None; firsts, (variant, instance suffix)
+    of each variant's first mismatch.  uses counts the block's uses that
+    _tally has not yet folded into a report."""
 
-    The first record out of canonical order raises ValueError: claim values
-    rise strictly run by run, heads rise strictly within a claim's run, and
-    variants never fall within a head.  So (head, variant), ordered as the
-    instance is since no head is a proper prefix of another, never falls in
-    a run; equal records in a row are one head whose variants repeat."""
-    summary, options_summary, first_cx = report.summary, report.options_summary, report.first_counterexample
-    claim, last_head = last[:2] if last else (None, "")
-    name = claim.value if claim else ""
-    tally = summary.get(name)
-    for c, head, comps in heads:
-        if c is not claim:
-            if c.value <= name:
-                raise _out_of_order(c, head, comps[0][0])
-            claim, name = c, c.value
-            tally = summary[name] = {"match": 0, "mismatch": 0}
-        elif head <= last_head:
-            raise _out_of_order(c, head, comps[0][0])
-        last_head, last_variant = head, ""
+    __slots__ = ("match", "mismatch", "by_variant", "first", "firsts", "uses")
+
+
+def _block_tally(claim: ClaimId, head: str, block: _Block) -> _BlockTally:
+    """The tally of block, met first at head in claim's run.  Tails rise
+    strictly and variants never fall within a tail: the first record out of
+    that order, under this head, raises ValueError."""
+    counts, firsts, first, last_tail = {}, {}, None, None
+    for tail, comps in block:
+        if last_tail is not None and tail <= last_tail:
+            raise _out_of_order(claim, head + tail, comps[0][0])
+        last_tail, last_variant = tail, ""
         for variant, _, _, verdict, _, _ in comps:
             if variant < last_variant:
-                raise _out_of_order(c, head, variant)
+                raise _out_of_order(claim, head + tail, variant)
             last_variant = variant
-            tally[verdict] += 1
-            if verdict == "mismatch" and name not in first_cx:
-                first_cx[name] = f"{head}/{variant}" if variant else head
-            if variant:
-                ot = options_summary.get(variant) or options_summary.setdefault(
-                    variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
-                ot[verdict] += 1
-                if verdict == "mismatch" and ot["first_counterexample"] is None:
-                    ot["first_counterexample"] = f"{head}/{variant}"
+            vt = counts.get(variant) or counts.setdefault(variant, {"match": 0, "mismatch": 0})
+            vt[verdict] += 1
+            if verdict == "mismatch" and variant not in firsts:
+                firsts[variant] = f"{tail}/{variant}" if variant else tail
+                if first is None:
+                    first = firsts[variant]
+    bt = _BlockTally()
+    bt.match = sum(vt["match"] for vt in counts.values())
+    bt.mismatch = sum(vt["mismatch"] for vt in counts.values())
+    bt.by_variant = tuple((v, vt["match"], vt["mismatch"]) for v, vt in counts.items() if v)
+    bt.first = first
+    bt.firsts = tuple((v, cx) for v, cx in firsts.items() if v)
+    bt.uses = 0
+    return bt
+
+
+def _fold(pending: list[_BlockTally], tally: dict, options_summary: dict) -> None:
+    """Add each pending block tally, times its uses, to a claim's tally and to
+    options_summary, and clear its uses and the list."""
+    for bt in pending:
+        uses, bt.uses = bt.uses, 0
+        tally["match"] += uses * bt.match
+        tally["mismatch"] += uses * bt.mismatch
+        for variant, match, mismatch in bt.by_variant:
+            ot = options_summary.get(variant) or options_summary.setdefault(
+                variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+            ot["match"] += uses * match
+            ot["mismatch"] += uses * mismatch
+    pending.clear()
+
+
+def _tally(units: Iterable[_Unit], report: VerificationReport, last: _Unit | None = None) -> None:
+    """Count the records of units into report's summary, options_summary
+    and first_counterexample; last is the unit just before them, if any.
+
+    Each block is tallied by _block_tally at its first use and the tally is
+    kept on it.  Per unit this counts one use of its block, folded into the
+    report per claim and per call; only a block's first use since a fold
+    can set a first counterexample, as every later use of it in the claim
+    comes after that one, which set all of them.
+
+    The first record out of canonical order raises ValueError: claim values
+    rise strictly run by run, within a claim's run each unit's first
+    instance head is above the previous unit's last, and within a block
+    tails rise strictly and variants never fall within a tail.  So
+    (instance head, variant), ordered as the instance is since no instance
+    head is a proper prefix of another, never falls in a run; equal records
+    in a row are one head whose variants repeat."""
+    summary, options_summary, first_cx = report.summary, report.options_summary, report.first_counterexample
+    claim, last_inst = (last[0], last[1] + last[2][-1][0]) if last else (None, "")
+    name = claim.value if claim else ""
+    tally = summary.get(name)
+    pending: list[_BlockTally] = []  # the tallies of blocks used since the last fold
+    try:
+        for c, head, block in units:
+            inst = head + block[0][0]
+            if c is not claim:
+                if c.value <= name:
+                    raise _out_of_order(c, inst, block[0][1][0][0])
+                _fold(pending, tally, options_summary)
+                claim, name = c, c.value
+                tally = summary[name] = {"match": 0, "mismatch": 0}
+            elif inst <= last_inst:
+                raise _out_of_order(c, inst, block[0][1][0][0])
+            last_inst = head + block[-1][0]
+            bt = block.tally
+            if bt is None:
+                bt = block.tally = _block_tally(c, head, block)
+            if not bt.uses:
+                pending.append(bt)
+                if bt.first is not None:
+                    if name not in first_cx:
+                        first_cx[name] = head + bt.first
+                    for variant, cx in bt.firsts:
+                        ot = options_summary.get(variant) or options_summary.setdefault(
+                            variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+                        if ot["first_counterexample"] is None:
+                            ot["first_counterexample"] = head + cx
+            bt.uses += 1
+    finally:  # also on a raise, so that no block keeps uses for another report
+        _fold(pending, tally, options_summary)
 
 
 def build_report(
@@ -470,7 +572,7 @@ def build_report(
 ) -> VerificationReport:
     """Tally a list of records per claim and per variant; the report keeps the list.
 
-    The records are grouped into heads (_heads_of) and counted by _tally, the
+    The records are grouped into units (_heads_of) and counted by _tally, the
     writer's tally; records out of canonical order raise ValueError, as
     _tally says."""
     if not isinstance(records, list):
@@ -496,13 +598,18 @@ def report_from_json(text: str) -> VerificationReport:
 #
 # A report is a head, its records' rows and a tail.  The head and the tail
 # read only the report's tallies, so the writer tallies and spells each chunk
-# of _CHUNK heads as the walk yields them and spills the rows to a temporary
-# file, holding one chunk of heads at a time: `kmatch search --nmax 5
-# --kmax 3` (3,297 heads of 4 records) peaked at 16.2-16.3 MB of RSS with
-# 32, 16.3-16.4 MB with 128, 17.0 MB with 512 and 18.6 MB with 2048
-# (Python 3.11), and its write_claims took 17.8, 15.7 and 16.7 ms (min of
-# 30) with 32, 128 and 512
-_CHUNK = 128
+# of _CHUNK units as the walk yields them and spills the rows to a temporary
+# file, holding one chunk of units at a time.  A graph claim's unit is one
+# labeled graph, of k_max records per variant: 12 in `kmatch search --nmax 5
+# --kmax 3`, 32 at its guard, (6, 8).  With Python 3.11 on a 2-CPU Linux
+# machine, a search to a file peaked at 16.1-16.3 MB of RSS at (5, 3) with
+# 8 to 64 and 16.4-16.5 MB with 128; at (6, 8) at 19.1-19.4 MB with 8 and
+# 16, 19.4-19.5 with 32, 19.7-19.8 with 64 and 20.5-20.7 with 128.  Its
+# write_claims took 8.8-14.5 ms (min of 30 to 100) at (5, 3) with any of 8
+# to 128, within the host's noise, and 233-268 ms (min of 3 to 6) at (6, 8)
+# with 32, whose chunks there spell 125 KiB of rows, but 267 ms with 8,
+# 356-390 ms with 48 (187 KiB) and 330-472 ms with 64 and 128
+_CHUNK = 32
 
 
 def _dumps(obj) -> str:
@@ -517,23 +624,33 @@ def _json_head(report: VerificationReport) -> str:
             f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
 
 
-def _json_rows(heads: Iterable[_Head]) -> str:
-    """The heads' records as JSON objects, comma-separated: each head's
-    instance quoted once, up to its variant, and each value spelled as its
-    comparison spells it."""
-    rows, claim, ends, verdicts = [], None, {}, {}
-    for c, head, comps in heads:
-        if c is not claim:  # one .value per run of a claim, not per head
-            claim, name = c, _quote(c.value)
-        inst = _quote(head)[:-1]  # open: each variant's end closes it
-        for variant, _, _, verdict, lhs, rhs in comps:
-            end = ends.get(variant)
-            if end is None:
-                end = ends[variant] = _quote("/" + variant)[1:] if variant else '"'
-            quoted = verdicts.get(verdict)
-            if quoted is None:
-                quoted = verdicts[verdict] = _quote(verdict)
-            rows.append(f'{{"claim":{name},"instance":{inst}{end},"lhs":"{lhs}","rhs":"{rhs}","verdict":{quoted}}}')
+def _pieces(opening: str, ends: list[str], sep: str) -> list[str]:
+    """The pieces that, joined by an instance head, are the rows opening +
+    head + end, one per end, separated by sep."""
+    between = sep + opening
+    return [opening, *(end + between for end in ends[:-1]), ends[-1]]
+
+
+def _json_pieces(claim: ClaimId, block: _Block) -> list[str]:
+    """The JSON objects of a block's records, comma-separated, in pieces
+    around the instance head, quoted without its quotes: each instance's
+    suffix quoted and each value spelled as its comparison spells it."""
+    ends = [f'{_quote(f"{tail}/{variant}" if variant else tail)[1:]},"lhs":"{lhs}","rhs":"{rhs}",'
+            f'"verdict":{_quote(verdict)}}}'
+            for tail, comps in block for variant, _, _, verdict, lhs, rhs in comps]
+    return _pieces(f'{{"claim":{_quote(claim.value)},"instance":"', ends, ",")
+
+
+def _json_rows(units: Iterable[_Unit]) -> str:
+    """The units' records as JSON objects, comma-separated: per unit, its
+    head quoted once and joined into its block's pieces, which _json_pieces
+    spells at the block's first use in a claim and keeps on the block."""
+    rows = []
+    for c, head, block in units:
+        spelled = block.json
+        if spelled is None or spelled[0] is not c:
+            spelled = block.json = (c, _json_pieces(c, block))
+        rows.append(_quote(head)[1:-1].join(spelled[1]))
     return ",".join(rows)
 
 
@@ -541,13 +658,15 @@ def _json_tail(report: VerificationReport) -> str:
     return f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n'
 
 
-def _csv_rows(heads: Iterable[_Head]) -> str:
+def _csv_rows(units: Iterable[_Unit]) -> str:
+    """The units' records as CSV rows, spelled record by record: whether the
+    instance field is quoted depends on all of it, head and suffix."""
     import csv
 
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
-        (c.value, f"{head}/{variant}" if variant else head, lhs, rhs, verdict)
-        for c, head, comps in heads for variant, _, _, verdict, lhs, rhs in comps)
+        (c.value, f"{head}{tail}/{variant}" if variant else head + tail, lhs, rhs, verdict)
+        for c, head, block in units for tail, comps in block for variant, _, _, verdict, lhs, rhs in comps)
     return buf.getvalue()
 
 
@@ -568,12 +687,27 @@ def _text_head(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_rows(heads: Iterable[_Head]) -> str:
-    return "".join(f"  {c.value} {head}{'/' if variant else ''}{variant} lhs={lhs} rhs={rhs} {verdict}\n"
-                   for c, head, comps in heads for variant, _, _, verdict, lhs, rhs in comps)
+def _text_pieces(claim: ClaimId, block: _Block) -> list[str]:
+    """The text lines of a block's records in pieces around the instance head."""
+    ends = [f"{tail}{'/' if variant else ''}{variant} lhs={lhs} rhs={rhs} {verdict}\n"
+            for tail, comps in block for variant, _, _, verdict, lhs, rhs in comps]
+    return _pieces(f"  {claim.value} ", ends, "")
 
 
-# per format: (the report's head, rows of a chunk of heads, the text between
+def _text_rows(units: Iterable[_Unit]) -> str:
+    """The units' records as text lines: per unit, its head joined into its
+    block's pieces, which _text_pieces spells at the block's first use in a
+    claim and keeps on the block."""
+    rows = []
+    for c, head, block in units:
+        spelled = block.text
+        if spelled is None or spelled[0] is not c:
+            spelled = block.text = (c, _text_pieces(c, block))
+        rows.append(head.join(spelled[1]))
+    return "".join(rows)
+
+
+# per format: (the report's head, rows of a chunk of units, the text between
 # two chunks' rows, tail)
 _FORMATS = {
     "json": (_json_head, _json_rows, ",", _json_tail),
@@ -585,7 +719,7 @@ REPORT_FORMATS = tuple(_FORMATS)
 
 def report_to_json(report: VerificationReport) -> str:
     """The JSON bytes of a held report, from the writer's own spellers: its
-    records grouped into heads (_heads_of), its head and tail from its
+    records grouped into units (_heads_of), its head and tail from its
     tallies."""
     return _json_head(report) + _json_rows(_heads_of(report.records)) + _json_tail(report)
 
@@ -599,37 +733,41 @@ def write_claims(claims: Iterable[ClaimId], budget: Budget, format: str,
     The format and every claim's guard are checked before any work.  The
     claims share one side memo for the run, so a side that two claims read
     runs once per class and k_max.  No record is made: the writer takes
-    (claim, head, comparisons) for each head of each claim's walk, in report
-    order, and keeps only their spelled rows, in the spill (_write_heads).
+    (claim, head, block) for each unit of each claim's walk, in report
+    order, one per labeled graph for a graph claim, and keeps only their
+    spelled rows, in the spill (_write_heads).
     """
     if format not in _FORMATS:
         raise ValueError(f"unknown report format {format!r}, expected json, csv, or text")
     claims = sorted(claims, key=lambda c: c.value)
     budgets = [resolve_budget(claim, budget) for claim in claims]
     memo: dict = {}
-    _write_heads(((c, head, comps) for c, b in zip(claims, budgets) for head, comps in _SPECS[c].walk(b, memo)),
+    _write_heads(((c, head, block) for c, b in zip(claims, budgets) for head, block in _SPECS[c].walk(b, memo)),
                  format, open_out)
 
 
-def _write_heads(heads: Iterable[_Head], format: str,
+def _write_heads(units: Iterable[_Unit], format: str,
                  open_out: Callable[[], AbstractContextManager[TextIO]]) -> None:
-    """Write the report of heads, in canonical order, holding one chunk of
+    """Write the report of units, in canonical order, holding one chunk of
     _CHUNK of them at a time.
 
     Each chunk is counted by one _tally call into a report with no records,
-    then spilled as rows to an unnamed temporary file.  The report's head
-    needs every tally, so open_out is called only after the walk, for every
-    format: a walk that fails, or records out of order, open nothing.  Then
-    the report's head, the spill and the tail are written.
+    then spilled as rows to an unnamed temporary file.  A block is tallied
+    and, for JSON and text, spelled at its first use and kept on the block,
+    so a chunk's later graphs of a class cost one use and one join each.
+    The report's head needs every tally, so open_out is called only after
+    the walk, for every format: a walk that fails, or records out of order,
+    open nothing.  Then the report's head, the spill and the tail are
+    written.
     """
     import tempfile
 
     top, rows, sep, tail = _FORMATS[format]
     report = VerificationReport(__version__, OPTIONS_MATRIX, [], {}, {}, {})
-    heads = iter(heads)
+    units = iter(units)
     with tempfile.TemporaryFile("w+", encoding="ascii") as spill:
         between, last = "", None
-        while chunk := list(islice(heads, _CHUNK)):
+        while chunk := list(islice(units, _CHUNK)):
             _tally(chunk, report, last)
             spill.write(between + rows(chunk))
             between, last = sep, chunk[-1]

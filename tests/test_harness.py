@@ -12,6 +12,7 @@ import tracemalloc
 from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -479,8 +480,9 @@ def test_graph_walker_calls_each_side_once_per_graph_for_all_k(monkeypatch, clai
 
 def test_graph_walker_decides_each_class_once_per_tail(monkeypatch):
     # the END_TO_END walk at (5, 3) decides each (class, k) once, 52 classes
-    # times 3 k, however many labeled graphs and records it has, and every
-    # labeled graph of a class gets that one comparisons tuple
+    # times 3 k, into one block per class, and yields each of the 1,099
+    # labeled graphs with its class's block object, however many records it
+    # has; the writer tallies and spells each block once, not per graph
     compare, calls = harness._compare, []
 
     def counted(lv, rv):
@@ -491,16 +493,38 @@ def test_graph_walker_decides_each_class_once_per_tail(monkeypatch):
     budget = Budget(n_max=5, k_max=3)
     assert len(verify_claim(ClaimId.END_TO_END, budget)) == 13_188
     assert len(calls) == 156 == len(_class_reps(5)) * 3
-    heads = harness._SPECS[ClaimId.END_TO_END].walk(budget, {})
+    units = harness._SPECS[ClaimId.END_TO_END].walk(budget, {})
     seen = {}
     for n in range(1, 6):
         for mask, c in enumerate(graph_classes(n)[0]):
-            for k in range(1, 4):
-                head, comps = next(heads)
-                assert head == f"n={n:02d}/g={graph6_from_mask(n, mask)}/k={k:02d}"
-                assert seen.setdefault((n, c, k), comps) is comps, head
-    assert next(heads, None) is None
-    assert len(seen) == 156 and len(calls) == 2 * 156
+            head, block = next(units)
+            assert head == f"n={n:02d}/g={graph6_from_mask(n, mask)}/"
+            assert [tail for tail, _ in block] == ["k=01", "k=02", "k=03"], head
+            assert seen.setdefault((n, c), block) is block, head
+    assert next(units, None) is None
+    assert sum(2 ** (n * (n - 1) // 2) for n in range(1, 6)) == 1_099
+    assert len(seen) == 52 and len(calls) == 2 * 156
+    # through write_claims, in JSON and in text, each block's tally and
+    # row pieces are made once, at its first labeled graph
+    made = {"_block_tally": 0, "_json_pieces": 0, "_text_pieces": 0}
+
+    def once(name):
+        f = getattr(harness, name)
+
+        def wrapper(*args):
+            made[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in made:
+        monkeypatch.setattr(harness, name, once(name))
+    for format, digest in (("json", SEARCH_DIGESTS[1][2]), ("text", None)):
+        made.update(dict.fromkeys(made, 0))
+        sink = _HashSink()
+        harness.write_claims([ClaimId.END_TO_END], budget, format, lambda: nullcontext(sink))
+        assert digest is None or sink.sha.hexdigest() == digest
+        assert made == {"_block_tally": 52, f"_{format}_pieces": 52,
+                        "_json_pieces" if format == "text" else "_text_pieces": 0}, format
 
 
 # per graph claim, its (lhs, rhs) referees as (name in harness, what each reads
@@ -642,10 +666,11 @@ def test_json_round_trip_across_claims(verify_all_report):
     ("json", report_to_json), ("csv", report_to_csv), ("text", report_to_text),
 ])
 def test_every_sink_gets_the_formatter_bytes(verify_all_report, tmp_path, capsys, format, formatter):
-    # the report spans several chunks of heads; a string, the CLI's --out
+    # the report spans several chunks of units; a string, the CLI's --out
     # file and its stdout are three sinks of one writer
     want = formatter(verify_all_report)
-    assert len({(r.claim, r.head) for r in verify_all_report.records}) > 2 * harness._CHUNK
+    units = (u for c in ClaimId for u in harness._SPECS[c].walk(harness.resolve_budget(c), {}))
+    assert len(list(islice(units, 2 * harness._CHUNK + 1))) > 2 * harness._CHUNK
     path = tmp_path / f"rep.{format}"
     argv = ["verify", "--claim", "all", "--format", format]
     assert cli.main(argv + ["--out", str(path)]) == 0
@@ -664,6 +689,12 @@ def _swap(recs, i, j):
     return recs
 
 
+def _move_head(recs, i, j):
+    # the records of the i-th head of the first claim moved after the j-th's
+    g = len(GMODES)
+    return recs[:i * g] + recs[(i + 1) * g:(j + 1) * g] + recs[i * g:(i + 1) * g] + recs[(j + 1) * g:]
+
+
 DISORDER_CASES = pytest.mark.parametrize("disorder, first_out", [
     # the claim runs in the wrong order
     (lambda recs: recs[-2:] + recs[:-2], "LEMMA4 k=02/s=00/gmode=corrected"),
@@ -673,7 +704,10 @@ DISORDER_CASES = pytest.mark.parametrize("disorder, first_out", [
     (lambda recs: _swap(recs, 0, len(GMODES)), "LEMMA4 k=02/s=00/gmode=paper"),
     # two variants of one head swapped
     (lambda recs: _swap(recs, 0, 1), "LEMMA4 k=02/s=00/gmode=corrected"),
-], ids=["claim", "claim-repeated", "head", "variant"])
+    # a head moved after the next one: at a chunk of 3 heads, it lies between
+    # the first and the last head of the chunk before it
+    (lambda recs: _move_head(recs, 2, 3), "LEMMA4 k=02/s=02/gmode=corrected"),
+], ids=["claim", "claim-repeated", "head", "variant", "head-moved"])
 
 
 @DISORDER_CASES
@@ -695,6 +729,58 @@ def test_streamed_tallies_refuse_the_same_record(monkeypatch, disorder, first_ou
             with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
                 harness._write_heads(harness._heads_of(recs), format, lambda: opened.append(1))
     assert opened == []
+
+
+def _broken_block_units():
+    # hand-built units of one claim: a sound block on the first head, then a
+    # shared block out of order inside on the next three heads, either two
+    # tails or two variants of a tail swapped; and the record each refuses
+    comps = harness._compare([1, 2], [1, 3])
+    sound = harness._Block([("k=01", comps), ("k=02", comps), ("k=03", comps)])
+    broken = {
+        "tails": (harness._Block([("k=01", comps), ("k=03", comps), ("k=02", comps)]),
+                  "END_TO_END n=03/g=BO/k=02/gmode=corrected"),
+        "variants": (harness._Block([("k=01", comps), ("k=02", comps), ("k=03", comps[::-1])]),
+                     "END_TO_END n=03/g=BO/k=03/gmode=corrected"),
+    }
+    return {case: ([(ClaimId.END_TO_END, "n=03/g=B?/", sound)]
+                   + [(ClaimId.END_TO_END, f"n=03/g={g}/", block) for g in ("BO", "BW", "Bw")], first_out)
+            for case, (block, first_out) in broken.items()}
+
+
+@pytest.mark.parametrize("case", ["tails", "variants"])
+def test_streamed_tallies_refuse_a_broken_block_at_its_first_graph(monkeypatch, case):
+    # a block shared by several heads is out of order inside: the writer
+    # refuses the first record out of order, under the block's first graph,
+    # at every chunk size and in every format, and opens no output
+    units, first_out = _broken_block_units()[case]
+    opened = []
+    for size in (1, 3, 7):
+        monkeypatch.setattr(harness, "_CHUNK", size)
+        for format in ("json", "csv", "text"):
+            with pytest.raises(ValueError, match=f"out of canonical order at {re.escape(first_out)}$"):
+                harness._write_heads(iter(units), format, lambda: opened.append(1))
+    assert opened == []
+    # a refused report leaves no count behind on the sound block it used
+    buf = io.StringIO()
+    harness._write_heads(iter(units[:1]), "json", lambda: nullcontext(buf))
+    back = report_from_json(buf.getvalue())
+    assert back.summary == {"END_TO_END": {"match": 3, "mismatch": 3}}
+    assert back.first_counterexample == {"END_TO_END": "n=03/g=B?/k=01/gmode=paper"}
+
+
+@pytest.mark.parametrize("format", ["json", "csv", "text"])
+def test_a_block_shared_by_two_claims_is_spelled_for_each(format):
+    # the writer keeps a block's row pieces with the claim they name, so a
+    # block that two claims' units share is written under each claim
+    block = harness._one_tail(harness._compare([1, 2], [1, 3]))
+    units = [(ClaimId.LEMMA2, "n=01/x=(0)", block), (ClaimId.LEMMA3, "n=01/x=(0)", block),
+             (ClaimId.LEMMA3, "n=01/x=(1)", block)]
+    recs = [VerificationRecord(c, head, lhs, rhs, verdict, variant)
+            for c, head, b in units for variant, lhs, rhs, verdict, _, _ in b[0][1]]
+    buf = io.StringIO()
+    harness._write_heads(iter(units), format, lambda: nullcontext(buf))
+    assert buf.getvalue() == _written(build_report(recs, OPTIONS_MATRIX), format)
 
 
 def test_build_report_keeps_the_callers_list_and_equal_keys():
