@@ -31,16 +31,16 @@ with a block of one tail, "".  The sides' values go in one memo per run,
 which every claim of the run shares, so a side that two claims read runs
 once per class and k_max.
 
-A comparison is (variant, lhs, rhs, verdict, str(lhs), str(rhs)): the
-variant ("", gmode=X or gmode=X/index=Y, also the options_summary key),
-the values as the referees return them, int or Fraction, and their
-spellings.  A unit, (claim, head, block), is what the report writer
-tallies and spells: it derives the block's tally and its row pieces once,
-at the block's first use, and keeps them on the block, so that each
-further labeled graph of the class costs an order check, one use of the
-block and one str.join.  Records are structured: claim, instance head
-(head + tail), lhs, rhs, verdict and variant, one per comparison, made
-only by verify_claim.  The instance key is instance head/variant.
+A comparison is (variant, lhs, rhs, verdict): the variant ("", gmode=X
+or gmode=X/index=Y, also the options_summary key) and the values as the
+referees return them, int or Fraction.  A unit, (claim, head, block), is
+what the report writer tallies and spells: it derives the block's tally
+and its claim-free row pieces once, at the block's first use, and keeps
+them on the block, so that each further labeled graph of the class costs
+an order check, one addition of the block's tally and one str.join.
+Records are structured: claim, instance head (head + tail), lhs, rhs,
+verdict and variant, one per comparison, made only by verify_claim.  The
+instance key is instance head/variant.
 
 Verdicts are exact: match means lhs == rhs as rationals, nothing is
 rounded or tolerated.  Reports are canonical: records in (claim, instance
@@ -51,15 +51,15 @@ records out of it while it tallies them and sorts nothing.
 
 One writer, write_claims, writes the report of `kmatch verify` and of
 `kmatch search`, which is END_TO_END under its guard.  It makes no
-records: it takes the walk's units a chunk at a time, counts each chunk
-into the tallies of a report with no records in one call of _tally,
-spells it in the chosen format, spills it to a temporary file, and only
-once the walk is done opens the output and writes the head, the spill and
-the tail.  Only write_claims and verify_claim read a claim's walk.
-discrepancy_search, build_report and report_to_json are the in-memory
-forms, which hold every record; the last two group them into units
-(_heads_of), each a block of up to _CHUNK instance heads under head "",
-for the same tally and spellers.
+records: _tally adds each unit of the walk into the tallies of a report
+with no records as it passes the unit on, and the writer takes those
+units a chunk at a time, spells each chunk in the chosen format, spills
+it to a temporary file, and only once the walk is done opens the output
+and writes the head, the spill and the tail.  Only write_claims and
+verify_claim read a claim's walk.  discrepancy_search, build_report and
+report_to_json are the in-memory forms, which hold every record; the last
+two group them into units (_heads_of), each a block of up to _CHUNK
+instance heads under head "", for the same tally and spellers.
 """
 
 from __future__ import annotations
@@ -121,13 +121,13 @@ class VerificationRecord(NamedTuple):
 
 class _Block(tuple):
     """A block: the (tail, comparisons) pairs of one unit, tails in canonical
-    order, each comparison (variant, lhs, rhs, verdict, str(lhs), str(rhs))
-    as _compare makes them.  The graph walker yields one block object for
-    every labeled graph of an isomorphism class.
+    order, each comparison (variant, lhs, rhs, verdict) as _compare makes
+    them.  The graph walker yields one block object for every labeled graph
+    of an isomorphism class.
 
-    The report writer keeps what it derives from the block on it: its
-    _BlockTally, and its JSON and text row pieces with the claim they were
-    spelled for."""
+    The report writer keeps what it derives from the block on it, none of
+    it bound to a report or a claim: its tally (_block_tally), and its JSON
+    and text row pieces (_json_pieces, _text_pieces)."""
 
     tally = json = text = None
 
@@ -309,13 +309,11 @@ def _pairing(a: int, b: int) -> tuple[tuple[str, int, int], ...]:
 
 def _compare(lv: Sequence, rv: Sequence) -> tuple[tuple, ...]:
     """The comparisons of a head whose sides give values lv and rv: one
-    (variant, lhs, rhs, verdict, str(lhs), str(rhs)) per value of the longer
-    side, paired as _pairing says.  A gmode's value goes with every options
-    entry of its gmode, as OPTIONS_MATRIX is gmode-major, and a lone value
-    with every variant.  Each value's str, taken once per value, is how every
-    report format spells it."""
-    ls, rs = [str(v) for v in lv], [str(v) for v in rv]
-    return tuple((variant, lv[i], rv[j], "match" if lv[i] == rv[j] else "mismatch", ls[i], rs[j])
+    (variant, lhs, rhs, verdict) per value of the longer side, paired as
+    _pairing says.  A gmode's value goes with every options entry of its
+    gmode, as OPTIONS_MATRIX is gmode-major, and a lone value with every
+    variant."""
+    return tuple((variant, lv[i], rv[j], "match" if lv[i] == rv[j] else "mismatch")
                  for variant, i, j in _pairing(len(lv), len(rv)))
 
 
@@ -425,7 +423,7 @@ def verify_claim(claim: ClaimId, budget: Budget | None = None) -> list[Verificat
     new = tuple.__new__
     return [new(VerificationRecord, (claim, head + tail, l, r, verdict, variant))
             for head, block in _SPECS[claim].walk(resolve_budget(claim, budget), {})
-            for tail, comps in block for variant, l, r, verdict, _, _ in comps]
+            for tail, comps in block for variant, l, r, verdict in comps]
 
 
 def discrepancy_search(n_max: int, k_max: int) -> VerificationReport:
@@ -445,10 +443,12 @@ def _heads_of(records: Iterable[VerificationRecord]) -> Iterator[_Unit]:
     """Held records as units, for build_report and report_to_json: per run of
     records of one claim, (claim, "", block) per _CHUNK instance heads, the
     block one (instance head, comparisons) pair per run of records that
-    share a head, each comparison spelled as _compare spells one, with its
-    record's verdict.  Its blocks are read once, so each holds many heads."""
+    share a head, each comparison as _compare makes one, with its record's
+    verdict.  Its blocks are read once, so each holds many heads: with one
+    unit per head, build_report of the 406,404 records of the search at
+    (6, 3) took 1.2-1.3 s instead of 0.38-0.39 s (Python 3.11, 2-CPU Linux)."""
     for claim, run in groupby(records, key=itemgetter(0)):
-        heads = ((head, tuple((r.variant, r.lhs, r.rhs, r.verdict, str(r.lhs), str(r.rhs)) for r in recs))
+        heads = ((head, tuple((r.variant, r.lhs, r.rhs, r.verdict) for r in recs))
                  for head, recs in groupby(run, key=itemgetter(1)))
         while block := _Block(islice(heads, _CHUNK)):
             yield claim, "", block
@@ -459,19 +459,12 @@ def _out_of_order(claim: ClaimId, head: str, variant: str) -> ValueError:
     return ValueError(f"records out of canonical order at {claim.value} {inst}")
 
 
-class _BlockTally:
-    """What one use of a block adds to a report: match and mismatch, its
-    totals; by_variant, (variant, match, mismatch) per variant other than
-    "", in block order; first, the instance suffix (tail, then /variant if
-    any) of its first mismatch, or None; firsts, (variant, instance suffix)
-    of each variant's first mismatch.  uses counts the block's uses that
-    _tally has not yet folded into a report."""
-
-    __slots__ = ("match", "mismatch", "by_variant", "first", "firsts", "uses")
-
-
-def _block_tally(claim: ClaimId, head: str, block: _Block) -> _BlockTally:
-    """The tally of block, met first at head in claim's run.  Tails rise
+def _block_tally(claim: ClaimId, head: str, block: _Block) -> tuple:
+    """The tally of block, met first at head in claim's run: (match,
+    mismatch, first, by_variant), its totals, the instance suffix (tail,
+    then /variant if any) of its first mismatch or None, and (variant,
+    match, mismatch, first) per variant other than "", in block order, first
+    the suffix of that variant's first mismatch or None.  Tails rise
     strictly and variants never fall within a tail: the first record out of
     that order, under this head, raises ValueError."""
     counts, firsts, first, last_tail = {}, {}, None, None
@@ -479,7 +472,7 @@ def _block_tally(claim: ClaimId, head: str, block: _Block) -> _BlockTally:
         if last_tail is not None and tail <= last_tail:
             raise _out_of_order(claim, head + tail, comps[0][0])
         last_tail, last_variant = tail, ""
-        for variant, _, _, verdict, _, _ in comps:
+        for variant, _, _, verdict in comps:
             if variant < last_variant:
                 raise _out_of_order(claim, head + tail, variant)
             last_variant = variant
@@ -489,40 +482,17 @@ def _block_tally(claim: ClaimId, head: str, block: _Block) -> _BlockTally:
                 firsts[variant] = f"{tail}/{variant}" if variant else tail
                 if first is None:
                     first = firsts[variant]
-    bt = _BlockTally()
-    bt.match = sum(vt["match"] for vt in counts.values())
-    bt.mismatch = sum(vt["mismatch"] for vt in counts.values())
-    bt.by_variant = tuple((v, vt["match"], vt["mismatch"]) for v, vt in counts.items() if v)
-    bt.first = first
-    bt.firsts = tuple((v, cx) for v, cx in firsts.items() if v)
-    bt.uses = 0
-    return bt
+    return (sum(vt["match"] for vt in counts.values()), sum(vt["mismatch"] for vt in counts.values()), first,
+            tuple((v, vt["match"], vt["mismatch"], firsts.get(v)) for v, vt in counts.items() if v))
 
 
-def _fold(pending: list[_BlockTally], tally: dict, options_summary: dict) -> None:
-    """Add each pending block tally, times its uses, to a claim's tally and to
-    options_summary, and clear its uses and the list."""
-    for bt in pending:
-        uses, bt.uses = bt.uses, 0
-        tally["match"] += uses * bt.match
-        tally["mismatch"] += uses * bt.mismatch
-        for variant, match, mismatch in bt.by_variant:
-            ot = options_summary.get(variant) or options_summary.setdefault(
-                variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
-            ot["match"] += uses * match
-            ot["mismatch"] += uses * mismatch
-    pending.clear()
-
-
-def _tally(units: Iterable[_Unit], report: VerificationReport, last: _Unit | None = None) -> None:
-    """Count the records of units into report's summary, options_summary
-    and first_counterexample; last is the unit just before them, if any.
+def _tally(units: Iterable[_Unit], report: VerificationReport) -> Iterator[_Unit]:
+    """Yield each of units after adding its records into report's summary,
+    options_summary and first_counterexample.
 
     Each block is tallied by _block_tally at its first use and the tally is
-    kept on it.  Per unit this counts one use of its block, folded into the
-    report per claim and per call; only a block's first use since a fold
-    can set a first counterexample, as every later use of it in the claim
-    comes after that one, which set all of them.
+    kept on it; each unit adds its block's tally, so a first counterexample
+    is set by the first unit whose block has one.
 
     The first record out of canonical order raises ValueError: claim values
     rise strictly run by run, within a claim's run each unit's first
@@ -532,38 +502,34 @@ def _tally(units: Iterable[_Unit], report: VerificationReport, last: _Unit | Non
     head is a proper prefix of another, never falls in a run; equal records
     in a row are one head whose variants repeat."""
     summary, options_summary, first_cx = report.summary, report.options_summary, report.first_counterexample
-    claim, last_inst = (last[0], last[1] + last[2][-1][0]) if last else (None, "")
-    name = claim.value if claim else ""
-    tally = summary.get(name)
-    pending: list[_BlockTally] = []  # the tallies of blocks used since the last fold
-    try:
-        for c, head, block in units:
-            inst = head + block[0][0]
-            if c is not claim:
-                if c.value <= name:
-                    raise _out_of_order(c, inst, block[0][1][0][0])
-                _fold(pending, tally, options_summary)
-                claim, name = c, c.value
-                tally = summary[name] = {"match": 0, "mismatch": 0}
-            elif inst <= last_inst:
+    claim, name, last_inst = None, "", ""
+    for unit in units:
+        c, head, block = unit
+        inst = head + block[0][0]
+        if c is not claim:
+            if c.value <= name:
                 raise _out_of_order(c, inst, block[0][1][0][0])
-            last_inst = head + block[-1][0]
-            bt = block.tally
-            if bt is None:
-                bt = block.tally = _block_tally(c, head, block)
-            if not bt.uses:
-                pending.append(bt)
-                if bt.first is not None:
-                    if name not in first_cx:
-                        first_cx[name] = head + bt.first
-                    for variant, cx in bt.firsts:
-                        ot = options_summary.get(variant) or options_summary.setdefault(
-                            variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
-                        if ot["first_counterexample"] is None:
-                            ot["first_counterexample"] = head + cx
-            bt.uses += 1
-    finally:  # also on a raise, so that no block keeps uses for another report
-        _fold(pending, tally, options_summary)
+            claim, name = c, c.value
+            tally = summary[name] = {"match": 0, "mismatch": 0}
+        elif inst <= last_inst:
+            raise _out_of_order(c, inst, block[0][1][0][0])
+        last_inst = head + block[-1][0]
+        bt = block.tally
+        if bt is None:
+            bt = block.tally = _block_tally(c, head, block)
+        match, mismatch, first, by_variant = bt
+        tally["match"] += match
+        tally["mismatch"] += mismatch
+        if first is not None and name not in first_cx:
+            first_cx[name] = head + first
+        for variant, vmatch, vmismatch, vfirst in by_variant:
+            ot = options_summary.get(variant) or options_summary.setdefault(
+                variant, {"match": 0, "mismatch": 0, "first_counterexample": None})
+            ot["match"] += vmatch
+            ot["mismatch"] += vmismatch
+            if vfirst is not None and ot["first_counterexample"] is None:
+                ot["first_counterexample"] = head + vfirst
+        yield unit
 
 
 def build_report(
@@ -578,7 +544,8 @@ def build_report(
     if not isinstance(records, list):
         raise TypeError(f"build_report takes a list of records, got {type(records).__name__}")
     report = VerificationReport(__version__, tuple(options_matrix), records, {}, {}, {})
-    _tally(_heads_of(records), report)
+    for _ in _tally(_heads_of(records), report):
+        pass
     return report
 
 
@@ -603,12 +570,12 @@ def report_from_json(text: str) -> VerificationReport:
 # labeled graph, of k_max records per variant: 12 in `kmatch search --nmax 5
 # --kmax 3`, 32 at its guard, (6, 8).  With Python 3.11 on a 2-CPU Linux
 # machine, a search to a file peaked at 16.1-16.3 MB of RSS at (5, 3) with
-# 8 to 64 and 16.4-16.5 MB with 128; at (6, 8) at 19.1-19.4 MB with 8 and
-# 16, 19.4-19.5 with 32, 19.7-19.8 with 64 and 20.5-20.7 with 128.  Its
-# write_claims took 8.8-14.5 ms (min of 30 to 100) at (5, 3) with any of 8
-# to 128, within the host's noise, and 233-268 ms (min of 3 to 6) at (6, 8)
-# with 32, whose chunks there spell 125 KiB of rows, but 267 ms with 8,
-# 356-390 ms with 48 (187 KiB) and 330-472 ms with 64 and 128
+# 8 to 64 and 16.4-16.5 MB with 128, and its write_claims took 8.8-14.5 ms
+# (min of 30 to 100) with any of 8 to 128, within the host's noise.  At
+# (6, 8), where chunks of 32 spell 125 KiB of rows, write_claims to a file
+# peaked at 18.1-18.2 MiB with 8 to 32, 18.5 with 64 and 19.3-19.4 with 128,
+# and took 0.48-0.64 s with 8 to 32, 0.62-0.69 s with 64 and 0.85-0.86 s
+# with 128 (two runs each)
 _CHUNK = 32
 
 
@@ -624,33 +591,34 @@ def _json_head(report: VerificationReport) -> str:
             f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
 
 
-def _pieces(opening: str, ends: list[str], sep: str) -> list[str]:
-    """The pieces that, joined by an instance head, are the rows opening +
-    head + end, one per end, separated by sep."""
-    between = sep + opening
-    return [opening, *(end + between for end in ends[:-1]), ends[-1]]
+def _pieces(ends: list[str], sep: str) -> list[str]:
+    """The pieces that, joined by a row's opening (its claim and instance
+    head), are the rows opening + end, one per end, separated by sep."""
+    return ["", *(end + sep for end in ends[:-1]), ends[-1]]
 
 
-def _json_pieces(claim: ClaimId, block: _Block) -> list[str]:
+def _json_pieces(block: _Block) -> list[str]:
     """The JSON objects of a block's records, comma-separated, in pieces
-    around the instance head, quoted without its quotes: each instance's
-    suffix quoted and each value spelled as its comparison spells it."""
-    ends = [f'{_quote(f"{tail}/{variant}" if variant else tail)[1:]},"lhs":"{lhs}","rhs":"{rhs}",'
-            f'"verdict":{_quote(verdict)}}}'
-            for tail, comps in block for variant, _, _, verdict, lhs, rhs in comps]
-    return _pieces(f'{{"claim":{_quote(claim.value)},"instance":"', ends, ",")
+    around the claim and instance head: each instance's suffix quoted,
+    without the opening quote, and each value written by its str."""
+    return _pieces([f'{_quote(f"{tail}/{variant}" if variant else tail)[1:]},"lhs":"{lhs}","rhs":"{rhs}",'
+                    f'"verdict":{_quote(verdict)}}}'
+                    for tail, comps in block for variant, lhs, rhs, verdict in comps], ",")
 
 
 def _json_rows(units: Iterable[_Unit]) -> str:
     """The units' records as JSON objects, comma-separated: per unit, its
-    head quoted once and joined into its block's pieces, which _json_pieces
-    spells at the block's first use in a claim and keeps on the block."""
-    rows = []
+    claim's opening, spelled once per run of the claim, and its head quoted,
+    joined into its block's pieces, which _json_pieces spells at the
+    block's first use and keeps on the block."""
+    rows, claim = [], None
     for c, head, block in units:
-        spelled = block.json
-        if spelled is None or spelled[0] is not c:
-            spelled = block.json = (c, _json_pieces(c, block))
-        rows.append(_quote(head)[1:-1].join(spelled[1]))
+        if c is not claim:
+            claim, opening = c, f'{{"claim":{_quote(c.value)},"instance":"'
+        pieces = block.json
+        if pieces is None:
+            pieces = block.json = _json_pieces(block)
+        rows.append((opening + _quote(head)[1:-1]).join(pieces))
     return ",".join(rows)
 
 
@@ -666,7 +634,7 @@ def _csv_rows(units: Iterable[_Unit]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         (c.value, f"{head}{tail}/{variant}" if variant else head + tail, lhs, rhs, verdict)
-        for c, head, block in units for tail, comps in block for variant, _, _, verdict, lhs, rhs in comps)
+        for c, head, block in units for tail, comps in block for variant, lhs, rhs, verdict in comps)
     return buf.getvalue()
 
 
@@ -687,23 +655,26 @@ def _text_head(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_pieces(claim: ClaimId, block: _Block) -> list[str]:
-    """The text lines of a block's records in pieces around the instance head."""
-    ends = [f"{tail}{'/' if variant else ''}{variant} lhs={lhs} rhs={rhs} {verdict}\n"
-            for tail, comps in block for variant, _, _, verdict, lhs, rhs in comps]
-    return _pieces(f"  {claim.value} ", ends, "")
+def _text_pieces(block: _Block) -> list[str]:
+    """The text lines of a block's records in pieces around the claim and
+    instance head."""
+    return _pieces([f"{tail}{'/' if variant else ''}{variant} lhs={lhs} rhs={rhs} {verdict}\n"
+                    for tail, comps in block for variant, lhs, rhs, verdict in comps], "")
 
 
 def _text_rows(units: Iterable[_Unit]) -> str:
-    """The units' records as text lines: per unit, its head joined into its
-    block's pieces, which _text_pieces spells at the block's first use in a
-    claim and keeps on the block."""
-    rows = []
+    """The units' records as text lines: per unit, its claim's opening,
+    spelled once per run of the claim, and its head, joined into its
+    block's pieces, which _text_pieces spells at the block's first use and
+    keeps on the block."""
+    rows, claim = [], None
     for c, head, block in units:
-        spelled = block.text
-        if spelled is None or spelled[0] is not c:
-            spelled = block.text = (c, _text_pieces(c, block))
-        rows.append(head.join(spelled[1]))
+        if c is not claim:
+            claim, opening = c, f"  {c.value} "
+        pieces = block.text
+        if pieces is None:
+            pieces = block.text = _text_pieces(block)
+        rows.append((opening + head).join(pieces))
     return "".join(rows)
 
 
@@ -751,26 +722,25 @@ def _write_heads(units: Iterable[_Unit], format: str,
     """Write the report of units, in canonical order, holding one chunk of
     _CHUNK of them at a time.
 
-    Each chunk is counted by one _tally call into a report with no records,
-    then spilled as rows to an unnamed temporary file.  A block is tallied
-    and, for JSON and text, spelled at its first use and kept on the block,
-    so a chunk's later graphs of a class cost one use and one join each.
-    The report's head needs every tally, so open_out is called only after
-    the walk, for every format: a walk that fails, or records out of order,
-    open nothing.  Then the report's head, the spill and the tail are
-    written.
+    Each unit is counted by _tally into a report with no records as it
+    passes, and each chunk of counted units is spilled as rows to an unnamed
+    temporary file.  A block is tallied and, for JSON and text, spelled at
+    its first use and kept on the block, so a later graph of its class
+    costs one addition of its tally and one join.  The report's head needs
+    every tally, so open_out is called only after the walk, for every
+    format: a walk that fails, or records out of order, open nothing.  Then
+    the report's head, the spill and the tail are written.
     """
     import tempfile
 
     top, rows, sep, tail = _FORMATS[format]
     report = VerificationReport(__version__, OPTIONS_MATRIX, [], {}, {}, {})
-    units = iter(units)
+    units = _tally(units, report)
     with tempfile.TemporaryFile("w+", encoding="ascii") as spill:
-        between, last = "", None
+        between = ""
         while chunk := list(islice(units, _CHUNK)):
-            _tally(chunk, report, last)
             spill.write(between + rows(chunk))
-            between, last = sep, chunk[-1]
+            between = sep
         spill.seek(0)
         with open_out() as out:
             out.write(top(report))

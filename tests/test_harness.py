@@ -5,8 +5,10 @@ pinned by golden digests, and summaries must be honest recounts of the
 records they summarize.
 """
 
+import csv
 import hashlib
 import io
+import json
 import re
 import tracemalloc
 from contextlib import nullcontext
@@ -769,18 +771,52 @@ def test_streamed_tallies_refuse_a_broken_block_at_its_first_graph(monkeypatch, 
     assert back.first_counterexample == {"END_TO_END": "n=03/g=B?/k=01/gmode=paper"}
 
 
+def _rows(text, format):
+    # (claim, instance) per record row of a written report, read without the
+    # writer: parsed as JSON or CSV, or each text line split at its first two
+    # spaces after the "records:" line
+    if format == "json":
+        return [(r["claim"], r["instance"]) for r in json.loads(text)["records"]]
+    if format == "csv":
+        return [(r[0], r[1]) for r in list(csv.reader(io.StringIO(text)))[1:]]
+    lines = text.splitlines()
+    return [tuple(line[2:].split(" ", 2)[:2]) for line in lines[lines.index("records:") + 1:]]
+
+
 @pytest.mark.parametrize("format", ["json", "csv", "text"])
 def test_a_block_shared_by_two_claims_is_spelled_for_each(format):
-    # the writer keeps a block's row pieces with the claim they name, so a
-    # block that two claims' units share is written under each claim
+    # a block's row pieces name no claim, so a block that two claims' units
+    # share is written under each claim
     block = harness._one_tail(harness._compare([1, 2], [1, 3]))
     units = [(ClaimId.LEMMA2, "n=01/x=(0)", block), (ClaimId.LEMMA3, "n=01/x=(0)", block),
              (ClaimId.LEMMA3, "n=01/x=(1)", block)]
     recs = [VerificationRecord(c, head, lhs, rhs, verdict, variant)
-            for c, head, b in units for variant, lhs, rhs, verdict, _, _ in b[0][1]]
+            for c, head, b in units for variant, lhs, rhs, verdict in b[0][1]]
     buf = io.StringIO()
     harness._write_heads(iter(units), format, lambda: nullcontext(buf))
     assert buf.getvalue() == _written(build_report(recs, OPTIONS_MATRIX), format)
+    assert _rows(buf.getvalue(), format) == [
+        (claim, f"n=01/x=({x})/gmode={gm}") for claim, x in (("LEMMA2", 0), ("LEMMA3", 0), ("LEMMA3", 1))
+        for gm in ("corrected", "paper")]
+
+
+@pytest.mark.parametrize("format", ["json", "csv", "text"])
+def test_units_written_twice_give_the_held_bytes_twice(format):
+    # blocks shared across heads and across two claims keep nothing of a
+    # report: a second write of the same units gives the bytes of the first,
+    # and both are the bytes of the held records
+    mixed, match = harness._compare([1, 2], [1, 3]), harness._compare([1, 1], [1])
+    a = harness._Block([("k=01", mixed), ("k=02", match)])
+    b = harness._Block([("k=01", match), ("k=02", mixed)])
+    units = [(c, f"n=03/g={g}/", block) for c in (ClaimId.END_TO_END, ClaimId.LEMMA1_VS_ORACLE)
+             for g, block in (("B?", b), ("BO", a), ("BW", b), ("Bw", a))]
+    recs = [VerificationRecord(c, head + tail, lhs, rhs, verdict, variant)
+            for c, head, block in units for tail, comps in block for variant, lhs, rhs, verdict in comps]
+    want = _written(build_report(recs, OPTIONS_MATRIX), format)
+    for _ in range(2):
+        buf = io.StringIO()
+        harness._write_heads(iter(units), format, lambda: nullcontext(buf))
+        assert buf.getvalue() == want
 
 
 def test_build_report_keeps_the_callers_list_and_equal_keys():
