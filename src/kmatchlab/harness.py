@@ -50,16 +50,17 @@ walker emits that order; build_report, whose input is public, refuses
 records out of it while it tallies them and sorts nothing.
 
 One writer, write_claims, writes the report of `kmatch verify` and of
-`kmatch search`, which is END_TO_END under its guard.  It makes no
+`kmatch search`, which is `verify --claim END_TO_END`.  It makes no
 records: _tally adds each unit of the walk into the tallies of a report
 with no records as it passes the unit on, and the writer takes those
-units a chunk at a time, spells each chunk in the chosen format, spills
-it to a temporary file, and only once the walk is done opens the output
-and writes the head, the spill and the tail.  Only write_claims and
-verify_claim read a claim's walk.  discrepancy_search, build_report and
-report_to_json are the in-memory forms, which hold every record; the last
-two group them into units (_heads_of), each a block of up to _CHUNK
-instance heads under head "", for the same tally and spellers.
+units a chunk at a time, spells each chunk (JSON and text by one _rows,
+CSV by csv.writer), spills it to a temporary file, and only once the walk
+is done opens the output and writes the head, the spill and the tail.
+Only write_claims and verify_claim read a claim's walk.
+discrepancy_search, build_report and report_to_json are the in-memory
+forms, which hold every record; the last two group them into units
+(_heads_of), each a block of up to _CHUNK instance heads under head "",
+for the same tally and spellers.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class _Block(tuple):
     of an isomorphism class.
 
     The report writer keeps what it derives from the block on it, none of
-    it bound to a report or a claim: its tally (_block_tally), and its JSON
-    and text row pieces (_json_pieces, _text_pieces)."""
+    it bound to a report or a claim: its tally (_block_tally), and its row
+    pieces (_row_pieces) under the name of their format, json or text."""
 
     tally = json = text = None
 
@@ -591,37 +592,6 @@ def _json_head(report: VerificationReport) -> str:
             f'{_dumps(matrix)},"options_summary":{_dumps(report.options_summary)},"records":[')
 
 
-def _pieces(ends: list[str], sep: str) -> list[str]:
-    """The pieces that, joined by a row's opening (its claim and instance
-    head), are the rows opening + end, one per end, separated by sep."""
-    return ["", *(end + sep for end in ends[:-1]), ends[-1]]
-
-
-def _json_pieces(block: _Block) -> list[str]:
-    """The JSON objects of a block's records, comma-separated, in pieces
-    around the claim and instance head: each instance's suffix quoted,
-    without the opening quote, and each value written by its str."""
-    return _pieces([f'{_quote(f"{tail}/{variant}" if variant else tail)[1:]},"lhs":"{lhs}","rhs":"{rhs}",'
-                    f'"verdict":{_quote(verdict)}}}'
-                    for tail, comps in block for variant, lhs, rhs, verdict in comps], ",")
-
-
-def _json_rows(units: Iterable[_Unit]) -> str:
-    """The units' records as JSON objects, comma-separated: per unit, its
-    claim's opening, spelled once per run of the claim, and its head quoted,
-    joined into its block's pieces, which _json_pieces spells at the
-    block's first use and keeps on the block."""
-    rows, claim = [], None
-    for c, head, block in units:
-        if c is not claim:
-            claim, opening = c, f'{{"claim":{_quote(c.value)},"instance":"'
-        pieces = block.json
-        if pieces is None:
-            pieces = block.json = _json_pieces(block)
-        rows.append((opening + _quote(head)[1:-1]).join(pieces))
-    return ",".join(rows)
-
-
 def _json_tail(report: VerificationReport) -> str:
     return f'],"summary":{_dumps(report.summary)},"version":{_dumps(report.version)}}}\n'
 
@@ -655,35 +625,49 @@ def _text_head(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_pieces(block: _Block) -> list[str]:
-    """The text lines of a block's records in pieces around the claim and
-    instance head."""
-    return _pieces([f"{tail}{'/' if variant else ''}{variant} lhs={lhs} rhs={rhs} {verdict}\n"
-                    for tail, comps in block for variant, lhs, rhs, verdict in comps], "")
+# per row format: (a claim's row opening, a head as spelled in a row, a
+# record's row after its instance head, from its instance suffix, lhs, rhs
+# and verdict, each value written by its str, the text between two rows)
+_ROW_FORMATS = {
+    "json": (lambda c: f'{{"claim":{_quote(c.value)},"instance":"', lambda head: _quote(head)[1:-1],
+             lambda suffix, lhs, rhs, verdict:
+             f'{_quote(suffix)[1:]},"lhs":"{lhs}","rhs":"{rhs}","verdict":{_quote(verdict)}}}', ","),
+    "text": (lambda c: f"  {c.value} ", str,
+             lambda suffix, lhs, rhs, verdict: f"{suffix} lhs={lhs} rhs={rhs} {verdict}\n", ""),
+}
 
 
-def _text_rows(units: Iterable[_Unit]) -> str:
-    """The units' records as text lines: per unit, its claim's opening,
-    spelled once per run of the claim, and its head, joined into its
-    block's pieces, which _text_pieces spells at the block's first use and
-    keeps on the block."""
+def _row_pieces(block: _Block, format: str) -> list[str]:
+    """The rows of a block's records in format, separated by the format's
+    separator, in pieces that a row's opening (claim and head) joins."""
+    record, sep = _ROW_FORMATS[format][2:]
+    ends = [record(f"{tail}/{variant}" if variant else tail, lhs, rhs, verdict)
+            for tail, comps in block for variant, lhs, rhs, verdict in comps]
+    return ["", *(end + sep for end in ends[:-1]), ends[-1]]
+
+
+def _rows(units: Iterable[_Unit], format: str) -> str:
+    """The units' records as rows in format, JSON or text: per unit, its
+    claim's opening, spelled once per run of the claim, and its head,
+    joined into its block's pieces, which _row_pieces spells at the block's
+    first use and keeps on the block under the format's name."""
+    opening_of, spell, _, sep = _ROW_FORMATS[format]
     rows, claim = [], None
     for c, head, block in units:
         if c is not claim:
-            claim, opening = c, f"  {c.value} "
-        pieces = block.text
-        if pieces is None:
-            pieces = block.text = _text_pieces(block)
-        rows.append((opening + head).join(pieces))
-    return "".join(rows)
+            claim, opening = c, opening_of(c)
+        pieces = getattr(block, format) or _row_pieces(block, format)
+        setattr(block, format, pieces)
+        rows.append((opening + spell(head)).join(pieces))
+    return sep.join(rows)
 
 
 # per format: (the report's head, rows of a chunk of units, the text between
 # two chunks' rows, tail)
 _FORMATS = {
-    "json": (_json_head, _json_rows, ",", _json_tail),
+    "json": (_json_head, lambda units: _rows(units, "json"), ",", _json_tail),
     "csv": (lambda report: "claim,instance,lhs,rhs,verdict\n", _csv_rows, "", lambda report: ""),
-    "text": (_text_head, _text_rows, "", lambda report: ""),
+    "text": (_text_head, lambda units: _rows(units, "text"), "", lambda report: ""),
 }
 REPORT_FORMATS = tuple(_FORMATS)
 
@@ -692,7 +676,7 @@ def report_to_json(report: VerificationReport) -> str:
     """The JSON bytes of a held report, from the writer's own spellers: its
     records grouped into units (_heads_of), its head and tail from its
     tallies."""
-    return _json_head(report) + _json_rows(_heads_of(report.records)) + _json_tail(report)
+    return _json_head(report) + _rows(_heads_of(report.records), "json") + _json_tail(report)
 
 
 def write_claims(claims: Iterable[ClaimId], budget: Budget, format: str,
@@ -731,6 +715,7 @@ def _write_heads(units: Iterable[_Unit], format: str,
     format: a walk that fails, or records out of order, open nothing.  Then
     the report's head, the spill and the tail are written.
     """
+    import shutil
     import tempfile
 
     top, rows, sep, tail = _FORMATS[format]
@@ -744,6 +729,5 @@ def _write_heads(units: Iterable[_Unit], format: str,
         spill.seek(0)
         with open_out() as out:
             out.write(top(report))
-            while text := spill.read(1 << 16):
-                out.write(text)
+            shutil.copyfileobj(spill, out)
             out.write(tail(report))

@@ -507,26 +507,27 @@ def test_graph_walker_decides_each_class_once_per_tail(monkeypatch):
     assert sum(2 ** (n * (n - 1) // 2) for n in range(1, 6)) == 1_099
     assert len(seen) == 52 and len(calls) == 2 * 156
     # through write_claims, in JSON and in text, each block's tally and
-    # row pieces are made once, at its first labeled graph
-    made = {"_block_tally": 0, "_json_pieces": 0, "_text_pieces": 0}
+    # row pieces are made once, at its first labeled graph, and no pieces
+    # of the other format are made
+    made = {"_block_tally": 0, "json": 0, "text": 0}
+    block_tally, row_pieces = harness._block_tally, harness._row_pieces
 
-    def once(name):
-        f = getattr(harness, name)
+    def tallied(*args):
+        made["_block_tally"] += 1
+        return block_tally(*args)
 
-        def wrapper(*args):
-            made[name] += 1
-            return f(*args)
-        return wrapper
+    def spelled(block, format):
+        made[format] += 1
+        return row_pieces(block, format)
 
-    for name in made:
-        monkeypatch.setattr(harness, name, once(name))
-    for format, digest in (("json", SEARCH_DIGESTS[1][2]), ("text", None)):
+    monkeypatch.setattr(harness, "_block_tally", tallied)
+    monkeypatch.setattr(harness, "_row_pieces", spelled)
+    for format, other, digest in (("json", "text", SEARCH_DIGESTS[1][2]), ("text", "json", None)):
         made.update(dict.fromkeys(made, 0))
         sink = _HashSink()
         harness.write_claims([ClaimId.END_TO_END], budget, format, lambda: nullcontext(sink))
         assert digest is None or sink.sha.hexdigest() == digest
-        assert made == {"_block_tally": 52, f"_{format}_pieces": 52,
-                        "_json_pieces" if format == "text" else "_text_pieces": 0}, format
+        assert made == {"_block_tally": 52, format: 52, other: 0}, format
 
 
 # per graph claim, its (lhs, rhs) referees as (name in harness, what each reads
